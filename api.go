@@ -19,12 +19,14 @@
 // count compiles an executable plan that selects a specialized kernel
 // — a single copy for contiguous layouts, an unrolled fixed-stride
 // loop for regular run/gap patterns (the paper's vector types), or a
-// flattened segment-table gather for irregular types — and splits the
-// packed range across goroutines for messages of at least
-// SetParallelPackThreshold bytes. Chunked mid-stream packing (the
-// runtime's internal pipelined sends) falls back to the interpreting
-// cursor; the two engines are property-tested byte-for-byte against
-// each other. The ninth scheme, PackCompiled ("packing(c)"), measures
+// flattened segment-table gather for irregular types. On a multi-core
+// host, messages of 4 MiB and more also split the packed range across
+// goroutines; that only makes the simulator run faster, because the
+// virtual clock prices every pack on the modelled installation's
+// single core. Chunked mid-stream packing (the runtime's internal
+// pipelined sends) enters the same kernels mid-stream; the
+// interpreting cursor remains the fallback, and the engines are
+// property-tested byte-for-byte against each other. The ninth scheme, PackCompiled ("packing(c)"), measures
 // this engine against the paper's interpreted packing(v); the tenth,
 // Sendv ("sendv"), is the fused zero-copy rendezvous, where the
 // compiled plan scatters the sender's layout straight into the
@@ -436,11 +438,3 @@ type PlanStats = datatype.PlanStats
 
 // PlanStatsSnapshot returns the current pack-plan engine counters.
 func PlanStatsSnapshot() PlanStats { return datatype.PlanStatsSnapshot() }
-
-// SetParallelPackThreshold sets the message size, in bytes, above
-// which compiled plans pack with goroutine parallelism. Zero or
-// negative disables parallel packing.
-func SetParallelPackThreshold(n int64) { datatype.SetParallelPackThreshold(n) }
-
-// ParallelPackThreshold returns the current parallel-pack threshold.
-func ParallelPackThreshold() int64 { return datatype.ParallelPackThreshold() }

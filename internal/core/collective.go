@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/datatype"
 	"repro/internal/layout"
 	"repro/internal/memsim"
 	"repro/internal/perfmodel"
@@ -24,8 +23,8 @@ import (
 //     the packed slots, unpack at the far side — the two extra memory
 //     passes the typed path removes.
 //
-// Leg costs come from the memsim collective terms
-// (FusedCollectiveLegCost, StagedCollectiveLegCost) and compose across
+// Leg costs come from the memsim terms (FusedCopyCost for a fused leg,
+// StagedCollectiveLegCost for a staged one) and compose across
 // ranks with the fan shape the engine would pick
 // (perfmodel.CollectiveTreeLimit): a binomial tree for latency-bound
 // legs, the linear fan for bandwidth-bound ones.
@@ -33,9 +32,6 @@ type CollectiveCostModel struct {
 	Ranks int
 	// Bytes is the per-rank payload size.
 	Bytes int64
-	// Workers is the parallel fan-out the fused/compiled engines would
-	// use per leg (1 = serial).
-	Workers int
 	// Tree reports whether the engine would fan over the binomial tree
 	// at this size (small legs) instead of the linear fan.
 	Tree bool
@@ -78,7 +74,7 @@ func (m CollectiveCostModel) TypedSpeedup() float64 {
 // exchanging n-byte per-rank payloads of the canonical layout on
 // profile p.
 func PriceCollective(ranks int, n int64, p *perfmodel.Profile) CollectiveCostModel {
-	m := CollectiveCostModel{Ranks: ranks, Bytes: n, Workers: 1}
+	m := CollectiveCostModel{Ranks: ranks, Bytes: n}
 	if n <= 0 || ranks <= 1 {
 		return m
 	}
@@ -87,13 +83,12 @@ func PriceCollective(ranks int, n int64, p *perfmodel.Profile) CollectiveCostMod
 	mem.SetDisabled(true) // steady-state estimate: cold, deterministic
 	wire := p.WireTime(n) + p.NetLatency
 	over := p.SendOverhead + p.RecvOverhead
-	m.Workers = datatype.ParallelWorkersFor(n)
 	// The engine's tree rule: small legs, more than two ranks (a
 	// two-rank tree is the linear fan), and every aggregated
 	// store-and-forward hop still eager.
 	m.Tree = p.UseCollectiveTree(ranks, n)
 
-	selfLeg := mem.FusedCollectiveLegCost(0, 0, st, st, m.Workers)
+	selfLeg := mem.FusedCopyCost(0, 0, st, st)
 	if m.Tree {
 		// At tree sizes the legs are eager-staged (pack, forward,
 		// unpack) — the fused rendezvous needs the handshake — and
@@ -113,12 +108,7 @@ func PriceCollective(ranks int, n int64, p *perfmodel.Profile) CollectiveCostMod
 	// Packed-then-collective: the per-rank packs run concurrently too,
 	// but the root must unpack every remote slot itself, so the
 	// per-leg term is the larger of the wire and the root-side unpack.
-	var pack float64
-	if m.Workers > 1 {
-		pack = mem.ParallelCompiledGatherCost(0, 0, st, m.Workers)
-	} else {
-		pack = mem.CompiledGatherCost(0, 0, st)
-	}
+	pack := mem.CompiledGatherCost(0, 0, st)
 	unpack := mem.CompiledScatterCost(0, 0, st)
 	prologue := p.PackCallOverhead + pack + unpack // own pack + self-slot unpack
 	if m.Tree {

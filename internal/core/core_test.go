@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -190,9 +189,6 @@ func TestRecommendConclusion(t *testing.T) {
 	// model has to show packing(c) beating the datatype send.
 	if m := PricePacking(5e8, prof); m.CompiledSpeedup() <= 1 {
 		t.Errorf("cost model does not favour compiled packing at 5e8 B: %+v", m)
-	}
-	if m := PricePacking(64<<20, prof); runtime.GOMAXPROCS(0) > 1 && m.Workers <= 1 {
-		t.Errorf("no parallel-pack term above the threshold: %+v", m)
 	}
 	contig := Recommend(1<<20, true, GoalBalanced, prof)
 	if contig.Scheme != Reference {

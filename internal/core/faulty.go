@@ -173,8 +173,8 @@ func RecommendUnderFaults(n int64, contiguous bool, goal Goal, p *perfmodel.Prof
 	if model.FaultyCompiledPack < model.FaultyTypedSend {
 		return annotate(Recommendation{
 			Scheme: PackCompiled,
-			Reason: fmt.Sprintf("compiled pack (%d worker(s)) models %.2fx over the datatype send on %s under loss",
-				model.Workers, model.FaultyTypedSend/model.FaultyCompiledPack, p.Name),
+			Reason: fmt.Sprintf("compiled pack models %.2fx over the datatype send on %s under loss",
+				model.FaultyTypedSend/model.FaultyCompiledPack, p.Name),
 		})
 	}
 	return annotate(Recommendation{

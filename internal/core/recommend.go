@@ -37,13 +37,11 @@ const LargeMessageBytes = int64(1e8)
 // direct datatype send for an n-byte payload of the canonical
 // every-other-double layout on one installation, using the memory
 // model cold (no warmth): per-message software cost plus wire time.
-// It is how Recommend weighs packing(c) — the compiled pack engine,
-// parallel above the threshold — against the interpreted alternatives.
+// It is how Recommend weighs packing(c) — the compiled pack engine —
+// against the interpreted alternatives. Every pack is priced on the
+// installation's single core, whatever the host running the model.
 type PackingCostModel struct {
 	Bytes int64
-	// Workers is the parallel fan-out the compiled pack engine would
-	// use for this size (1 = serial).
-	Workers int
 	// CompiledPack, InterpretedPack and TypedSend are modeled one-way
 	// transfer times in seconds for packing(c), packing(v), and the
 	// direct derived-datatype send.
@@ -109,7 +107,7 @@ func (m PackingCostModel) PipelinedSpeedup() float64 {
 // the canonical every-other-double layout on profile p.
 func PricePacking(n int64, p *perfmodel.Profile) PackingCostModel {
 	if n <= 0 {
-		return PackingCostModel{Bytes: n, Workers: 1}
+		return PackingCostModel{Bytes: n}
 	}
 	return priceModel(n, layout.Describe(ForBytes(n).Layout()), false, p)
 }
@@ -129,7 +127,7 @@ func PricePackingForType(ty *datatype.Type, count int, p *perfmodel.Profile) (Pa
 	}
 	n := ty.PackSize(count)
 	if n <= 0 {
-		return PackingCostModel{Bytes: n, Workers: 1}, nil
+		return PackingCostModel{Bytes: n}, nil
 	}
 	return priceModel(n, ty.Stats(count), plan.Kernel() == datatype.KernelBlock, p), nil
 }
@@ -137,24 +135,18 @@ func PricePackingForType(ty *datatype.Type, count int, p *perfmodel.Profile) (Pa
 // priceModel is the shared pricing ladder behind PricePacking and
 // PricePackingForType.
 func priceModel(n int64, st layout.Stats, normalized bool, p *perfmodel.Profile) PackingCostModel {
-	m := PackingCostModel{Bytes: n, Workers: 1, Normalized: normalized}
+	m := PackingCostModel{Bytes: n, Normalized: normalized}
 	mem := memsim.NewState(&p.Mem)
 	mem.SetDisabled(true) // steady-state estimate: cold, deterministic
 	wire := p.WireTime(n)
 
-	m.Workers = datatype.ParallelWorkersFor(n)
-	compiledGather := func(workers int) float64 {
-		switch {
-		case normalized && workers > 1:
-			return mem.ParallelNormalizedGatherCost(0, 0, st, workers)
-		case normalized:
-			return mem.NormalizedGatherCost(0, 0, st)
-		case workers > 1:
-			return mem.ParallelCompiledGatherCost(0, 0, st, workers)
-		}
-		return mem.CompiledGatherCost(0, 0, st)
+	var compiledGather float64
+	if normalized {
+		compiledGather = mem.NormalizedGatherCost(0, 0, st)
+	} else {
+		compiledGather = mem.CompiledGatherCost(0, 0, st)
 	}
-	m.CompiledPack = p.PackCallOverhead + compiledGather(m.Workers) + wire
+	m.CompiledPack = p.PackCallOverhead + compiledGather + wire
 
 	m.InterpretedPack = p.PackCallOverhead + mem.GatherCost(0, 0, st) + wire
 
@@ -175,7 +167,7 @@ func priceModel(n int64, st layout.Stats, normalized bool, p *perfmodel.Profile)
 	// pipeline bound. Rendezvous only: the eager path packs in one
 	// shot before the envelope leaves.
 	if !p.Eager(n, false) && m.Chunks > 1 {
-		pipePack := compiledGather(1) + float64(m.Chunks)*p.ChunkOverhead
+		pipePack := compiledGather + float64(m.Chunks)*p.ChunkOverhead
 		m.PipelinedSend = memsim.PipelinedChunkCost(pipePack, typedWire, m.Chunks, m.Depth)
 	}
 
@@ -204,10 +196,10 @@ func priceModel(n int64, st layout.Stats, normalized bool, p *perfmodel.Profile)
 //     datatypes, these being the most user-friendly".
 //   - "The scheme that consistently performs best applies MPI_Pack to
 //     a derived datatype" — and the compiled plan engine executes that
-//     same single pack call with amortised per-segment bookkeeping
-//     (parallel above the threshold), so when the cost model prices
-//     packing(c) below the datatype send, it is the fastest choice and
-//     the balanced choice for large messages.
+//     same single pack call with amortised per-segment bookkeeping,
+//     so when the cost model prices packing(c) below the datatype
+//     send, it is the fastest choice and the balanced choice for large
+//     messages.
 //   - Past the eager limit the fused rendezvous (sendv) removes even
 //     the pack pipeline's staging pass: one compiled sweep straight
 //     into the receiver's buffer, overlapped with the wire. When the
@@ -273,8 +265,8 @@ func decide(price func() PackingCostModel, n int64, goal Goal, p *perfmodel.Prof
 		if model.CompiledSpeedup() > 1 {
 			return Recommendation{
 				Scheme: PackCompiled,
-				Reason: fmt.Sprintf("compiled pack (%d worker(s)) models %.2fx over the datatype send on %s and avoids MPI-internal buffering (§5)",
-					model.Workers, model.CompiledSpeedup(), p.Name),
+				Reason: fmt.Sprintf("compiled pack models %.2fx over the datatype send on %s and avoids MPI-internal buffering (§5)",
+					model.CompiledSpeedup(), p.Name),
 			}
 		}
 		return Recommendation{

@@ -112,8 +112,8 @@ func BenchmarkPackEngines(b *testing.B) {
 			})
 			b.Run("compiled/"+name, func(b *testing.B) {
 				// Threshold above the payload: single-goroutine kernels.
-				SetParallelPackThreshold(payload + 1)
-				defer SetParallelPackThreshold(DefaultParallelPackThreshold)
+				setParallelPackThreshold(payload + 1)
+				defer setParallelPackThreshold(DefaultParallelPackThreshold)
 				plan, err := ty.CompilePlan(1)
 				if err != nil {
 					b.Fatal(err)
@@ -127,8 +127,8 @@ func BenchmarkPackEngines(b *testing.B) {
 				}
 			})
 			b.Run("parallel/"+name, func(b *testing.B) {
-				SetParallelPackThreshold(1)
-				defer SetParallelPackThreshold(DefaultParallelPackThreshold)
+				setParallelPackThreshold(1)
+				defer setParallelPackThreshold(DefaultParallelPackThreshold)
 				plan, err := ty.CompilePlan(1)
 				if err != nil {
 					b.Fatal(err)
@@ -257,8 +257,8 @@ func BenchmarkUnpackEngines(b *testing.B) {
 		}
 	})
 	b.Run("compiled", func(b *testing.B) {
-		SetParallelPackThreshold(payload + 1)
-		defer SetParallelPackThreshold(DefaultParallelPackThreshold)
+		setParallelPackThreshold(payload + 1)
+		defer setParallelPackThreshold(DefaultParallelPackThreshold)
 		plan, err := ty.CompilePlan(1)
 		if err != nil {
 			b.Fatal(err)
@@ -272,8 +272,8 @@ func BenchmarkUnpackEngines(b *testing.B) {
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
-		SetParallelPackThreshold(1)
-		defer SetParallelPackThreshold(DefaultParallelPackThreshold)
+		setParallelPackThreshold(1)
+		defer setParallelPackThreshold(DefaultParallelPackThreshold)
 		plan, err := ty.CompilePlan(1)
 		if err != nil {
 			b.Fatal(err)
@@ -376,8 +376,8 @@ func benchNestedBlock(b *testing.B, on bool, rows, runs, bl int) (*Type, buf.Blo
 // the kernel itself, with the parallel splitter held off.
 func benchPackSerial(b *testing.B, ty *Type, src, dst buf.Block) {
 	b.Helper()
-	SetParallelPackThreshold(ty.Size() + 1)
-	defer SetParallelPackThreshold(DefaultParallelPackThreshold)
+	setParallelPackThreshold(ty.Size() + 1)
+	defer setParallelPackThreshold(DefaultParallelPackThreshold)
 	plan, err := ty.CompilePlan(1)
 	if err != nil {
 		b.Fatal(err)
@@ -436,8 +436,8 @@ func BenchmarkNormalizedKernels(b *testing.B) {
 	b.Run("smoke", func(b *testing.B) {
 		canonTy, src, dst := benchNestedBlock(b, true, rows, runs, 1)
 		rawTy, _, _ := benchNestedBlock(b, false, rows, runs, 1)
-		SetParallelPackThreshold(payload + 1)
-		defer SetParallelPackThreshold(DefaultParallelPackThreshold)
+		setParallelPackThreshold(payload + 1)
+		defer setParallelPackThreshold(DefaultParallelPackThreshold)
 		canon, err := canonTy.CompilePlan(1)
 		if err != nil {
 			b.Fatal(err)

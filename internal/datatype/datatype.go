@@ -30,10 +30,12 @@
 //  1. Compiled (whole message): a full-message Pack/Unpack — or a
 //     Packer/Unpacker stream drained in one call — executes the
 //     compiled plan (plan.go): a contig/stride/gather kernel bound to
-//     (type, count), goroutine-parallel above
-//     SetParallelPackThreshold. Plans are cached per type and count;
-//     the program is compiled at Commit, so steady-state packing does
-//     no compilation and no allocation.
+//     (type, count), split across goroutines above
+//     DefaultParallelPackThreshold bytes on a multi-core host (a
+//     host-time speedup only: virtual costs price one core). Plans
+//     are cached per type and count; the program is compiled at
+//     Commit, so steady-state packing does no compilation and no
+//     allocation.
 //  2. Compiled-chunked: partial-range transfers (the chunked and
 //     pipelined streaming of internal/mpi's rendezvous sends) enter
 //     the same kernels mid-stream — O(log segments) positioning, then

@@ -254,9 +254,8 @@ func FusedCopy(srcPlan, dstPlan *Plan, src, dst buf.Block) (int64, error) {
 		return 0, nil
 	}
 	// The parallel decision depends only on the size, so virtual
-	// transfers are attributed exactly as their real counterparts
-	// (and as the parallel pricers model them).
-	parallel := total >= ParallelPackThreshold() && workersFor(total) > 1
+	// transfers are attributed exactly as their real counterparts.
+	parallel := total >= parallelPackThreshold() && workersFor(total) > 1
 	if !src.IsVirtual() && !dst.IsVirtual() {
 		fusedExec(srcPlan, dstPlan, src, dst, total, parallel)
 	}

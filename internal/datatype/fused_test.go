@@ -319,15 +319,15 @@ func TestFusedCopyParallelMatchesSerial(t *testing.T) {
 			src.FillPattern(0x8D)
 
 			// Serial reference: threshold above the payload.
-			SetParallelPackThreshold(int64(elems)*8 + 1)
-			defer SetParallelPackThreshold(DefaultParallelPackThreshold)
+			setParallelPackThreshold(int64(elems)*8 + 1)
+			defer setParallelPackThreshold(DefaultParallelPackThreshold)
 			want := buf.Alloc(userLen(tc.dstTy, 1))
 			if _, err := FusedCopy(srcPlan, dstPlan, src, want); err != nil {
 				t.Fatal(err)
 			}
 
 			// Parallel run: threshold far below the payload.
-			SetParallelPackThreshold(64 << 10)
+			setParallelPackThreshold(64 << 10)
 			before := PlanStatsSnapshot()
 			got := buf.Alloc(userLen(tc.dstTy, 1))
 			if _, err := FusedCopy(srcPlan, dstPlan, src, got); err != nil {

@@ -32,10 +32,14 @@ import (
 //     compile time, never re-derived per pack.
 //
 // Independently of the kernel, messages of at least
-// ParallelPackThreshold() bytes execute goroutine-parallel: the packed
-// byte range is split across workers, and every kernel can start
-// mid-stream in O(log n) (closed form for stride, binary search for
-// gather), so the split needs no segment alignment.
+// DefaultParallelPackThreshold bytes execute goroutine-parallel on a
+// multi-core host: the packed byte range is split across workers, and
+// every kernel can start mid-stream in O(log n) (closed form for
+// stride, binary search for gather), so the split needs no segment
+// alignment. The split only speeds up the simulator itself: the
+// virtual clock prices every pack as the modelled installation's
+// single core running it, so no simulated time depends on the host's
+// core count.
 
 // PlanKernel identifies the specialized copy kernel a compiled plan
 // executes.
@@ -76,21 +80,22 @@ func (k PlanKernel) String() string {
 // it, goroutine startup costs more than the copy saves.
 const DefaultParallelPackThreshold = 4 << 20
 
-var parallelPackThreshold atomic.Int64
+var parallelPackBytes atomic.Int64
 
-func init() { parallelPackThreshold.Store(DefaultParallelPackThreshold) }
+func init() { parallelPackBytes.Store(DefaultParallelPackThreshold) }
 
-// SetParallelPackThreshold sets the parallel-pack threshold in bytes.
-// Zero or negative disables parallel packing entirely.
-func SetParallelPackThreshold(n int64) {
+// setParallelPackThreshold sets the parallel-pack threshold in bytes;
+// tests use it to force or suppress the goroutine split. Zero or
+// negative disables parallel packing entirely.
+func setParallelPackThreshold(n int64) {
 	if n <= 0 {
 		n = int64(1)<<62 - 1
 	}
-	parallelPackThreshold.Store(n)
+	parallelPackBytes.Store(n)
 }
 
-// ParallelPackThreshold returns the current parallel-pack threshold.
-func ParallelPackThreshold() int64 { return parallelPackThreshold.Load() }
+// parallelPackThreshold returns the current parallel-pack threshold.
+func parallelPackThreshold() int64 { return parallelPackBytes.Load() }
 
 // chunkedCompiled gates the compiled-chunked execution tier: when set
 // (the default), Packer/Unpacker route partial-range transfers through
@@ -335,34 +340,20 @@ func (p *Plan) ContigWindow() (off int64, ok bool) {
 func (p *Plan) Bytes() int64 { return p.total }
 
 // Parallel reports whether executing the plan on real buffers would
-// split across goroutines under the current threshold.
+// split across goroutines under the current threshold. It depends on
+// the host's core count and steers host time only.
 func (p *Plan) Parallel() bool {
-	return p.total >= ParallelPackThreshold() && p.workers() > 1
-}
-
-// Workers returns the goroutine fan-out a full-message execution of
-// this plan uses: 1 below the parallel threshold. Cost models use it
-// to price the parallel-pack term.
-func (p *Plan) Workers() int {
-	return ParallelWorkersFor(p.total)
+	return p.total >= parallelPackThreshold() && p.workers() > 1
 }
 
 // workers returns the parallel fan-out for this plan's size, ignoring
 // the threshold (execute checks that separately).
 func (p *Plan) workers() int { return workersFor(p.total) }
 
-// ParallelWorkersFor returns the goroutine fan-out the pack engine
-// uses for an n-byte message under the current threshold: 1 when the
-// message stays serial.
-func ParallelWorkersFor(n int64) int {
-	if n < ParallelPackThreshold() {
-		return 1
-	}
-	return workersFor(n)
-}
-
 // workersFor is the raw fan-out rule: GOMAXPROCS capped by
-// maxPackWorkers and by the minimum per-worker share.
+// maxPackWorkers and by the minimum per-worker share. It is the one
+// place the simulator reads the host's core count, and no virtual
+// cost reads it.
 func workersFor(n int64) int {
 	w := runtime.GOMAXPROCS(0)
 	if w > maxPackWorkers {

@@ -104,7 +104,7 @@ func (p *Plan) runChunk(user, stream buf.Block, lo, hi int64, dir direction) {
 	parallel := false
 	if !user.IsVirtual() && !stream.IsVirtual() {
 		n := hi - lo
-		if w := workersFor(n); n >= ParallelPackThreshold() && w > 1 {
+		if w := workersFor(n); n >= parallelPackThreshold() && w > 1 {
 			parallel = true
 			p.runParallelRange(user, stream, lo, hi, lo, dir, w)
 		} else {

@@ -277,8 +277,8 @@ func TestPackerResumeMidSegment(t *testing.T) {
 // with a low threshold and checks it against the cursor on large
 // regular and irregular types.
 func TestPlanParallelDifferential(t *testing.T) {
-	SetParallelPackThreshold(64 << 10)
-	defer SetParallelPackThreshold(DefaultParallelPackThreshold)
+	setParallelPackThreshold(64 << 10)
+	defer setParallelPackThreshold(DefaultParallelPackThreshold)
 
 	rng := rand.New(rand.NewSource(0xFACADE))
 	big := []*Type{

@@ -240,8 +240,8 @@ func TestChunkedCompiledDifferential(t *testing.T) {
 // enough to engage the parallel splitter and checks it against the
 // cursor.
 func TestChunkedCompiledLargeChunkParallel(t *testing.T) {
-	SetParallelPackThreshold(256 << 10)
-	defer SetParallelPackThreshold(DefaultParallelPackThreshold)
+	setParallelPackThreshold(256 << 10)
+	defer setParallelPackThreshold(DefaultParallelPackThreshold)
 
 	rng := rand.New(rand.NewSource(0xB16))
 	ty := mustType(Vector(300_000, 1, 2, Float64)) // 2.4 MB payload

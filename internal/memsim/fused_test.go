@@ -52,60 +52,6 @@ func TestFusedCopyCostZero(t *testing.T) {
 	}
 }
 
-// TestParallelBWScaleProfileField pins the promotion of the
-// saturation cap to a per-profile field: a hierarchy with a higher
-// cap prices a saturated parallel pack cheaper, and the zero value
-// falls back to DefaultParallelBWScale.
-func TestParallelBWScaleProfileField(t *testing.T) {
-	st := everyOtherStats()
-	src, dst := buf.Alloc(1).Region(), buf.Alloc(1).Region()
-
-	low := testHierarchy()
-	low.ParallelBWScale = 2
-	high := testHierarchy()
-	high.ParallelBWScale = 8
-	costLow := NewState(low).ParallelCompiledGatherCost(src, dst, st, 16)
-	costHigh := NewState(high).ParallelCompiledGatherCost(src, dst, st, 16)
-	if costHigh >= costLow {
-		t.Fatalf("higher ParallelBWScale did not cut the saturated cost: %g >= %g", costHigh, costLow)
-	}
-
-	def := testHierarchy()
-	def.ParallelBWScale = 0
-	if got, want := def.parallelScale(), DefaultParallelBWScale; got != want {
-		t.Fatalf("zero-value scale = %g, want default %g", got, want)
-	}
-	if got := def.parallelSpeedup(16); got != DefaultParallelBWScale {
-		t.Fatalf("defaulted speedup at saturation = %g, want %g", got, DefaultParallelBWScale)
-	}
-	if got := high.parallelSpeedup(4); got != 4 {
-		t.Fatalf("under-saturation speedup = %g, want worker count 4", got)
-	}
-}
-
-// TestParallelFusedCopyCostSpeedup pins the parallel fused pricer: more
-// workers cost less, saturating at the hierarchy's ParallelBWScale.
-func TestParallelFusedCopyCostSpeedup(t *testing.T) {
-	st := everyOtherStats()
-	srcR, dstR := buf.Alloc(1).Region(), buf.Alloc(1).Region()
-	serial := NewState(testHierarchy()).FusedCopyCost(srcR, dstR, st, st)
-	par4 := NewState(testHierarchy()).ParallelFusedCopyCost(srcR, dstR, st, st, 4)
-	if par4 >= serial {
-		t.Fatalf("4-worker fused pass %g not under serial %g", par4, serial)
-	}
-	// Past the saturation cap, extra workers only shave bookkeeping.
-	h := testHierarchy()
-	cap16 := NewState(testHierarchy()).ParallelFusedCopyCost(srcR, dstR, st, st, 16)
-	floor := float64(h.Traffic(st)) / (h.CopyBW * h.parallelScale())
-	if cap16 < floor*0.2 {
-		t.Fatalf("16-worker fused pass %g far below the saturated floor %g", cap16, floor)
-	}
-	one := NewState(testHierarchy()).ParallelFusedCopyCost(srcR, dstR, st, st, 1)
-	if one != serial {
-		t.Fatalf("1-worker parallel pricer %g differs from FusedCopyCost %g", one, serial)
-	}
-}
-
 // TestCollectiveLegCosts pins the collective terms: the staged leg
 // (pack + unpack) must price above the fused leg for the canonical
 // strided layout, and the fan composers must grow with rank count and
@@ -113,7 +59,7 @@ func TestParallelFusedCopyCostSpeedup(t *testing.T) {
 func TestCollectiveLegCosts(t *testing.T) {
 	st := everyOtherStats()
 	srcR, dstR := buf.Alloc(1).Region(), buf.Alloc(1).Region()
-	fused := NewState(testHierarchy()).FusedCollectiveLegCost(srcR, dstR, st, st, 1)
+	fused := NewState(testHierarchy()).FusedCopyCost(srcR, dstR, st, st)
 	staged := NewState(testHierarchy()).StagedCollectiveLegCost(srcR, dstR, st, st)
 	if fused >= staged {
 		t.Fatalf("fused leg %g not under staged leg %g", fused, staged)

@@ -63,23 +63,11 @@ type Hierarchy struct {
 	// computation). It dominates for layouts with many tiny segments.
 	SegmentOverhead float64
 
-	// ParallelBWScale caps the bandwidth gain of goroutine-parallel
-	// packing on this memory system: one core's gather loop runs at
-	// CopyBW, and additional workers scale the read rate only until
-	// the socket's memory system saturates. The ratio is a property of
-	// the socket (aggregate DRAM bandwidth over one core's copy rate),
-	// so each profile calibrates it: a Skylake core nearly saturates
-	// its socket alone, a KNL core is far from MCDRAM's aggregate
-	// rate. Zero means DefaultParallelBWScale.
-	ParallelBWScale float64
-
 	// InternalChunk is the size of the runtime's internal pack-buffer
 	// chunks: a chunked derived-type transfer packs and transmits the
 	// payload through pieces of this size. It is a property of how the
 	// installation's MPI stages messages through its buffer pool, so
-	// each profile calibrates it (it was previously a perfmodel.Profile
-	// field; the promotion mirrors ParallelBWScale's). Zero means
-	// DefaultInternalChunk.
+	// each profile calibrates it. Zero means DefaultInternalChunk.
 	InternalChunk int64
 
 	// PipelineDepth is the slot-ring depth of the software-pipelined
@@ -141,8 +129,6 @@ func (h *Hierarchy) Validate() error {
 		return fmt.Errorf("memsim: InternalChunk %d", h.InternalChunk)
 	case h.PipelineDepth < 0:
 		return fmt.Errorf("memsim: PipelineDepth %d", h.PipelineDepth)
-	case h.ParallelBWScale < 0:
-		return fmt.Errorf("memsim: ParallelBWScale %g", h.ParallelBWScale)
 	case h.NodeSize < 0:
 		return fmt.Errorf("memsim: NodeSize %d", h.NodeSize)
 	}
@@ -329,7 +315,7 @@ func roundUp(n, q int64) int64 {
 // The call updates warmth: the source lines and the destination become
 // resident.
 func (s *State) GatherCost(src buf.Region, dst buf.Region, st layout.Stats) float64 {
-	return s.gatherCost(src, dst, st, s.h.SegmentOverhead, 1)
+	return s.gatherCost(src, dst, st, s.h.SegmentOverhead)
 }
 
 // CompiledUnrollFactor is how far a compiled pack plan amortises the
@@ -346,13 +332,13 @@ const CompiledUnrollFactor = 8
 // scheme column: compiled packing approaches the traffic bound that
 // generic interpretation cannot reach on small-block layouts.
 func (s *State) CompiledGatherCost(src buf.Region, dst buf.Region, st layout.Stats) float64 {
-	return s.gatherCost(src, dst, st, s.h.SegmentOverhead/CompiledUnrollFactor, 1)
+	return s.gatherCost(src, dst, st, s.h.SegmentOverhead/CompiledUnrollFactor)
 }
 
 // CompiledScatterCost is the scatter-side mirror of
 // CompiledGatherCost.
 func (s *State) CompiledScatterCost(src buf.Region, dst buf.Region, st layout.Stats) float64 {
-	return s.scatterCost(src, dst, st, s.h.SegmentOverhead/CompiledUnrollFactor, 1)
+	return s.scatterCost(src, dst, st, s.h.SegmentOverhead/CompiledUnrollFactor)
 }
 
 // NormalizedUnrollFactor is the additional per-segment amortisation of
@@ -370,74 +356,13 @@ const NormalizedUnrollFactor = 2
 // generic compiled kernel. This is the cost term behind the
 // "normalized<=raw" guideline and the E19 model panel.
 func (s *State) NormalizedGatherCost(src buf.Region, dst buf.Region, st layout.Stats) float64 {
-	return s.gatherCost(src, dst, st, s.h.SegmentOverhead/(CompiledUnrollFactor*NormalizedUnrollFactor), 1)
+	return s.gatherCost(src, dst, st, s.h.SegmentOverhead/(CompiledUnrollFactor*NormalizedUnrollFactor))
 }
 
 // NormalizedScatterCost is the scatter-side mirror of
 // NormalizedGatherCost.
 func (s *State) NormalizedScatterCost(src buf.Region, dst buf.Region, st layout.Stats) float64 {
-	return s.scatterCost(src, dst, st, s.h.SegmentOverhead/(CompiledUnrollFactor*NormalizedUnrollFactor), 1)
-}
-
-// ParallelNormalizedGatherCost prices the canonicalised gather when the
-// plan engine splits the packed range across workers goroutines.
-func (s *State) ParallelNormalizedGatherCost(src buf.Region, dst buf.Region, st layout.Stats, workers int) float64 {
-	return s.gatherCost(src, dst, st,
-		s.h.SegmentOverhead/(CompiledUnrollFactor*NormalizedUnrollFactor)/float64(maxInt(workers, 1)),
-		s.h.parallelSpeedup(workers))
-}
-
-// ParallelNormalizedScatterCost is the scatter-side mirror of
-// ParallelNormalizedGatherCost.
-func (s *State) ParallelNormalizedScatterCost(src buf.Region, dst buf.Region, st layout.Stats, workers int) float64 {
-	return s.scatterCost(src, dst, st,
-		s.h.SegmentOverhead/(CompiledUnrollFactor*NormalizedUnrollFactor)/float64(maxInt(workers, 1)),
-		s.h.parallelSpeedup(workers))
-}
-
-// DefaultParallelBWScale is the saturation cap used when a Hierarchy
-// does not calibrate its own ParallelBWScale: the paper-era socket
-// shape, where roughly 3–4 cores' worth of copy bandwidth saturates a
-// socket. (This was previously the package-wide constant
-// ParallelBWScale; it is now a per-profile Hierarchy field.)
-const DefaultParallelBWScale = 3.5
-
-// parallelScale returns the hierarchy's saturation cap, defaulted.
-func (h *Hierarchy) parallelScale() float64 {
-	if h.ParallelBWScale > 0 {
-		return h.ParallelBWScale
-	}
-	return DefaultParallelBWScale
-}
-
-// parallelSpeedup returns the effective bandwidth multiplier of a
-// w-worker parallel pack on this memory system.
-func (h *Hierarchy) parallelSpeedup(w int) float64 {
-	if w <= 1 {
-		return 1
-	}
-	sp := float64(w)
-	if cap := h.parallelScale(); sp > cap {
-		sp = cap
-	}
-	return sp
-}
-
-// ParallelCompiledGatherCost prices the compiled gather when the plan
-// engine splits the packed range across workers goroutines (messages
-// over datatype.SetParallelPackThreshold): the traffic term scales by
-// the saturating parallel speedup, and the per-segment bookkeeping —
-// embarrassingly parallel — divides across the workers. This is the
-// parallel-pack term that lets the recommendation engine price
-// packing(c) against datatype sends at large sizes.
-func (s *State) ParallelCompiledGatherCost(src buf.Region, dst buf.Region, st layout.Stats, workers int) float64 {
-	return s.gatherCost(src, dst, st, s.h.SegmentOverhead/CompiledUnrollFactor/float64(maxInt(workers, 1)), s.h.parallelSpeedup(workers))
-}
-
-// ParallelCompiledScatterCost is the scatter-side mirror of
-// ParallelCompiledGatherCost.
-func (s *State) ParallelCompiledScatterCost(src buf.Region, dst buf.Region, st layout.Stats, workers int) float64 {
-	return s.scatterCost(src, dst, st, s.h.SegmentOverhead/CompiledUnrollFactor/float64(maxInt(workers, 1)), s.h.parallelSpeedup(workers))
+	return s.scatterCost(src, dst, st, s.h.SegmentOverhead/(CompiledUnrollFactor*NormalizedUnrollFactor))
 }
 
 // FusedCopyCost prices the one-pass fused scatter/gather of a
@@ -451,42 +376,26 @@ func (s *State) ParallelCompiledScatterCost(src buf.Region, dst buf.Region, st l
 // bookkeeping is the larger of the two segment counts at the
 // compiled engines' amortised per-segment cost.
 func (s *State) FusedCopyCost(src buf.Region, dst buf.Region, srcSt, dstSt layout.Stats) float64 {
-	return s.fusedCopyCost(src, dst, srcSt, dstSt, 1)
-}
-
-// ParallelFusedCopyCost prices the fused one-pass transfer when the
-// pair schedule splits across workers goroutines (messages of at least
-// datatype.SetParallelPackThreshold bytes): the single pass's traffic
-// scales by the saturating parallel speedup (ParallelBWScale, the same
-// cap as parallel compiled packing) and the fused segment bookkeeping
-// divides across the workers.
-func (s *State) ParallelFusedCopyCost(src buf.Region, dst buf.Region, srcSt, dstSt layout.Stats, workers int) float64 {
-	return s.fusedCopyCost(src, dst, srcSt, dstSt, workers)
-}
-
-// fusedCopyCost is the shared body of the fused pricers.
-func (s *State) fusedCopyCost(src buf.Region, dst buf.Region, srcSt, dstSt layout.Stats, workers int) float64 {
 	traffic := s.h.Traffic(srcSt)
 	if traffic == 0 {
 		return 0
 	}
-	speedup := s.h.parallelSpeedup(workers)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	res := s.residency(src, traffic)
-	bw := s.readBandwidth(s.h.CopyBW, res, srcSt) * speedup
+	bw := s.readBandwidth(s.h.CopyBW, res, srcSt)
 	cost := float64(traffic) / bw
 	// Write-allocate fills for the partial destination lines beyond
 	// the payload itself (same charge as the scatter side of the
 	// staged pipeline; dense destinations add nothing).
 	if extra := s.h.Traffic(dstSt) - roundUp(dstSt.Bytes, s.h.LineSize); extra > 0 {
-		cost += float64(extra) / (s.h.CopyBW * speedup)
+		cost += float64(extra) / s.h.CopyBW
 	}
 	segs := srcSt.Segments
 	if dstSt.Segments > segs {
 		segs = dstSt.Segments
 	}
-	cost += float64(segs) * s.h.SegmentOverhead / CompiledUnrollFactor / float64(maxInt(workers, 1))
+	cost += float64(segs) * s.h.SegmentOverhead / CompiledUnrollFactor
 	s.touch(src, traffic)
 	s.touch(dst, s.h.Traffic(dstSt))
 	return cost
@@ -523,14 +432,6 @@ func PipelinedChunkCost(pack, consume float64, chunks int64, depth int) float64 
 // fold legs across the communicator. core.PriceCollective composes
 // them into the packed-then-collective vs typed-collective comparison.
 
-// FusedCollectiveLegCost prices one leg of a typed collective riding
-// the fused engine: the payload crosses the memory system once,
-// straight between the two rank layouts (the root's self-leg, or a
-// fused sendv remote leg), parallel-pack aware.
-func (s *State) FusedCollectiveLegCost(src buf.Region, dst buf.Region, srcSt, dstSt layout.Stats, workers int) float64 {
-	return s.fusedCopyCost(src, dst, srcSt, dstSt, workers)
-}
-
 // StagedCollectiveLegCost prices one leg of the packed-then-collective
 // pipeline: a compiled pack of the layout into a contiguous slot plus
 // the matching compiled unpack on the far side — two memory passes per
@@ -562,9 +463,8 @@ func TreeFanCost(p int, selfLeg, remoteLeg, wire, perLegOverhead float64) float6
 }
 
 // gatherCost is the shared body of the gather pricers; the engines
-// differ in their per-segment bookkeeping cost and, for the parallel
-// executor, the bandwidth speedup.
-func (s *State) gatherCost(src buf.Region, dst buf.Region, st layout.Stats, segOverhead, speedup float64) float64 {
+// differ only in their per-segment bookkeeping cost.
+func (s *State) gatherCost(src buf.Region, dst buf.Region, st layout.Stats, segOverhead float64) float64 {
 	traffic := s.h.Traffic(st)
 	if traffic == 0 {
 		return 0
@@ -572,7 +472,7 @@ func (s *State) gatherCost(src buf.Region, dst buf.Region, st layout.Stats, segO
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	res := s.residency(src, traffic)
-	bw := s.readBandwidth(s.h.CopyBW, res, st) * speedup
+	bw := s.readBandwidth(s.h.CopyBW, res, st)
 	cost := float64(traffic)/bw + float64(st.Segments)*segOverhead
 	s.touch(src, traffic)
 	s.touch(dst, st.Bytes)
@@ -580,7 +480,7 @@ func (s *State) gatherCost(src buf.Region, dst buf.Region, st layout.Stats, segO
 }
 
 // scatterCost is the shared body of the scatter pricers.
-func (s *State) scatterCost(src buf.Region, dst buf.Region, st layout.Stats, segOverhead, speedup float64) float64 {
+func (s *State) scatterCost(src buf.Region, dst buf.Region, st layout.Stats, segOverhead float64) float64 {
 	if st.Bytes == 0 {
 		return 0
 	}
@@ -588,24 +488,17 @@ func (s *State) scatterCost(src buf.Region, dst buf.Region, st layout.Stats, seg
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	res := s.residency(src, traffic)
-	bw := s.readBandwidth(s.h.CopyBW, res, layout.Stats{Segments: 1, Bytes: st.Bytes, Extent: st.Bytes}) * speedup
+	bw := s.readBandwidth(s.h.CopyBW, res, layout.Stats{Segments: 1, Bytes: st.Bytes, Extent: st.Bytes})
 	cost := float64(traffic) / bw
 	// Write-allocate fills for the partial destination lines.
 	extra := s.h.Traffic(st) - roundUp(st.Bytes, s.h.LineSize)
 	if extra > 0 {
-		cost += float64(extra) / (s.h.CopyBW * speedup)
+		cost += float64(extra) / s.h.CopyBW
 	}
 	cost += float64(st.Segments) * segOverhead
 	s.touch(src, traffic)
 	s.touch(dst, s.h.Traffic(st))
 	return cost
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ScatterCost prices the inverse loop: read a contiguous source of
@@ -614,7 +507,7 @@ func maxInt(a, b int) int {
 // charged traffic is the contiguous read plus the destination line
 // fills beyond the payload itself.
 func (s *State) ScatterCost(src buf.Region, dst buf.Region, st layout.Stats) float64 {
-	return s.scatterCost(src, dst, st, s.h.SegmentOverhead, 1)
+	return s.scatterCost(src, dst, st, s.h.SegmentOverhead)
 }
 
 // StreamCost prices a streaming contiguous read of n bytes of region r

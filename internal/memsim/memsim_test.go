@@ -257,42 +257,3 @@ func TestHierarchyChunkValidation(t *testing.T) {
 		t.Error("negative PipelineDepth accepted")
 	}
 }
-
-func TestParallelCompiledGatherCheaper(t *testing.T) {
-	// The parallel-pack term: a many-small-segment layout priced for a
-	// multi-worker compiled pack must undercut the serial compiled
-	// pack, which in turn undercuts generic interpretation. Separate
-	// states keep warmth effects out of the comparison.
-	st := layout.Stats{Segments: 1 << 16, Bytes: 8 << 20, Extent: 16 << 20, AvgBlock: 8, AvgGap: 8, MinBlock: 8, MaxBlock: 8, Density: 0.5}
-	src, dst := buf.Alloc(1).Region(), buf.Alloc(1).Region()
-	interp := NewState(testHierarchy()).GatherCost(src, dst, st)
-	serial := NewState(testHierarchy()).CompiledGatherCost(src, dst, st)
-	par := NewState(testHierarchy()).ParallelCompiledGatherCost(src, dst, st, 8)
-	if !(par < serial && serial < interp) {
-		t.Fatalf("cost ordering violated: parallel %g, serial compiled %g, interpreted %g", par, serial, interp)
-	}
-	// The bandwidth term saturates at ParallelBWScale, so doubling the
-	// workers past saturation only shaves segment bookkeeping.
-	par16 := NewState(testHierarchy()).ParallelCompiledGatherCost(src, dst, st, 16)
-	if par16 > par {
-		t.Fatalf("more workers cost more: %g > %g", par16, par)
-	}
-	if floor := float64(NewState(testHierarchy()).Hierarchy().Traffic(st)) / (testHierarchy().CopyBW * testHierarchy().parallelScale() * 1.01); par16 < floor {
-		t.Fatalf("parallel cost %g beats the saturated-bandwidth floor %g", par16, floor)
-	}
-	// One worker must price exactly like the serial compiled pack.
-	one := NewState(testHierarchy()).ParallelCompiledGatherCost(src, dst, st, 1)
-	if one != serial {
-		t.Fatalf("1-worker parallel cost %g != serial compiled %g", one, serial)
-	}
-}
-
-func TestParallelCompiledScatterCheaper(t *testing.T) {
-	st := layout.Stats{Segments: 1 << 16, Bytes: 8 << 20, Extent: 16 << 20, AvgBlock: 8, AvgGap: 8, MinBlock: 8, MaxBlock: 8, Density: 0.5}
-	src, dst := buf.Alloc(1).Region(), buf.Alloc(1).Region()
-	serial := NewState(testHierarchy()).CompiledScatterCost(src, dst, st)
-	par := NewState(testHierarchy()).ParallelCompiledScatterCost(src, dst, st, 8)
-	if par >= serial {
-		t.Fatalf("parallel scatter %g not under serial %g", par, serial)
-	}
-}

@@ -32,29 +32,6 @@ func TestNormalizedCostOrdering(t *testing.T) {
 	}
 }
 
-// TestParallelNormalizedCosts checks the worker-split variants scale
-// the canonicalised cost down and never below the bandwidth-saturated
-// bound.
-func TestParallelNormalizedCosts(t *testing.T) {
-	h := testHierarchy()
-	st := layout.Describe(layout.Strided{Count: 1 << 16, BlockLen: 8, Stride: 16})
-	src := buf.Alloc(int(st.Extent))
-	dst := buf.Alloc(int(st.Bytes))
-	serial := NewState(h).NormalizedGatherCost(src.Region(), dst.Region(), st)
-	par := NewState(h).ParallelNormalizedGatherCost(src.Region(), dst.Region(), st, 4)
-	if par >= serial {
-		t.Fatalf("4-worker normalized gather %g not under serial %g", par, serial)
-	}
-	if floor := serial / 8; par < floor {
-		t.Fatalf("4-worker normalized gather %g below saturation floor %g", par, floor)
-	}
-	serialS := NewState(h).NormalizedScatterCost(src.Region(), dst.Region(), st)
-	parS := NewState(h).ParallelNormalizedScatterCost(src.Region(), dst.Region(), st, 4)
-	if parS >= serialS {
-		t.Fatalf("4-worker normalized scatter %g not under serial %g", parS, serialS)
-	}
-}
-
 // TestEstimateLegLossRate round-trips the calibration: from a true
 // per-leg rate, derive the exact expected counters and require the
 // estimator to recover the rate.

@@ -188,13 +188,7 @@ func (c *Comm) typedSelfCopy(sb buf.Block, scount int, sty *datatype.Type, db bu
 	}
 	sst, dst := sty.Stats(scount), dty.Stats(dcount)
 	if dp.FusedDstSafe() && !buf.Overlaps(sb, db) {
-		var cost float64
-		if w := datatype.ParallelWorkersFor(n); w > 1 {
-			cost = c.cache.ParallelFusedCopyCost(sb.Region(), db.Region(), sst, dst, w)
-		} else {
-			cost = c.cache.FusedCopyCost(sb.Region(), db.Region(), sst, dst)
-		}
-		c.clock.Advance(vclock.FromSeconds(cost))
+		c.clock.Advance(vclock.FromSeconds(c.cache.FusedCopyCost(sb.Region(), db.Region(), sst, dst)))
 		_, err := datatype.FusedCopy(sp, dp, sb, db)
 		return err
 	}

@@ -179,11 +179,7 @@ func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, t
 					var xferErr error
 					if hasFd {
 						if n == fd.need && !buf.Overlaps(b, fd.user) {
-							if w := datatype.ParallelWorkersFor(n); w > 1 {
-								copyCost = c.cache.ParallelFusedCopyCost(b.Region(), fd.user.Region(), st, fd.stats, w)
-							} else {
-								copyCost = c.cache.FusedCopyCost(b.Region(), fd.user.Region(), st, fd.stats)
-							}
+							copyCost = c.cache.FusedCopyCost(b.Region(), fd.user.Region(), st, fd.stats)
 							_, xferErr = datatype.FusedCopy(plan, fd.plan, b, fd.user)
 						} else {
 							copyCost, xferErr = c.stagedScatter(plan, fd, b, st, n)
@@ -191,11 +187,7 @@ func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, t
 					} else {
 						dst := match.Dst
 						dstSt := layout.Stats{Segments: 1, Bytes: covered, Extent: covered, AvgBlock: float64(covered), MinBlock: covered, MaxBlock: covered, Density: 1}
-						if w := datatype.ParallelWorkersFor(covered); w > 1 {
-							copyCost = c.cache.ParallelFusedCopyCost(b.Region(), dst.Region(), st, dstSt, w)
-						} else {
-							copyCost = c.cache.FusedCopyCost(b.Region(), dst.Region(), st, dstSt)
-						}
+						copyCost = c.cache.FusedCopyCost(b.Region(), dst.Region(), st, dstSt)
 						if covered > 0 {
 							xferErr = plan.PackRange(b, dst, 0, covered)
 						}
@@ -256,14 +248,8 @@ func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, t
 		poisoned := false
 		if fd, ok := match.FusedDst.(*fusedDst); ok && fd != nil {
 			if n == fd.need && !buf.Overlaps(b, fd.user) {
-				// The fused fast path: one pass, layout to layout, split
-				// across workers (and priced at the saturating parallel
-				// speedup) above the parallel-pack threshold.
-				if w := datatype.ParallelWorkersFor(n); w > 1 {
-					copyCost = c.cache.ParallelFusedCopyCost(b.Region(), fd.user.Region(), st, fd.stats, w)
-				} else {
-					copyCost = c.cache.FusedCopyCost(b.Region(), fd.user.Region(), st, fd.stats)
-				}
+				// The fused fast path: one pass, layout to layout.
+				copyCost = c.cache.FusedCopyCost(b.Region(), fd.user.Region(), st, fd.stats)
 				_, xferErr = datatype.FusedCopy(plan, fd.plan, b, fd.user)
 			} else {
 				// Aliased buffers or a size mismatch: sender-local staged
@@ -287,11 +273,7 @@ func (c *Comm) sendTypedFused(b buf.Block, count int, ty *datatype.Type, dest, t
 			dst := match.Dst
 			nCopy := minInt64(n, int64(dst.Len()))
 			dstSt := layout.Stats{Segments: 1, Bytes: nCopy, Extent: nCopy, AvgBlock: float64(nCopy), MinBlock: nCopy, MaxBlock: nCopy, Density: 1}
-			if w := datatype.ParallelWorkersFor(nCopy); w > 1 {
-				copyCost = c.cache.ParallelFusedCopyCost(b.Region(), dst.Region(), st, dstSt, w)
-			} else {
-				copyCost = c.cache.FusedCopyCost(b.Region(), dst.Region(), st, dstSt)
-			}
+			copyCost = c.cache.FusedCopyCost(b.Region(), dst.Region(), st, dstSt)
 			if nCopy > 0 {
 				xferErr = plan.PackRange(b, dst, 0, nCopy)
 			}

@@ -73,7 +73,7 @@ func (c *Comm) PackSize(count int, ty *datatype.Type) int64 {
 // interpretation. The plan comes from the type's cache (compiled at
 // Commit, bound per count on first use), so steady-state calls compile
 // nothing. Pricing uses the amortised per-segment bookkeeping of
-// memsim.CompiledGatherCost — or its parallel-pack term when the plan
+// memsim.CompiledGatherCost, on one core even when the real copy
 // splits across goroutines. This is the "packing(c)" scheme of the
 // figures.
 func (c *Comm) PackCompiled(b buf.Block, count int, ty *datatype.Type, outbuf buf.Block, position *int64) error {
@@ -119,17 +119,9 @@ func (c *Comm) UnpackCompiled(inbuf buf.Block, position *int64, b buf.Block, cou
 // program the Commit-time normalizer collapsed into a canonical
 // strided-block form (datatype.KernelBlock) runs the registry's
 // unrolled tiles, so it is priced with the further-amortised normalized
-// term; every other program prices at the generic compiled term. Both
-// choices are parallel-pack aware.
+// term; every other program prices at the generic compiled term.
 func (c *Comm) planGatherCost(plan *datatype.Plan, src, dst buf.Region, st layout.Stats) float64 {
-	norm := plan.Kernel() == datatype.KernelBlock
-	if w := plan.Workers(); w > 1 {
-		if norm {
-			return c.cache.ParallelNormalizedGatherCost(src, dst, st, w)
-		}
-		return c.cache.ParallelCompiledGatherCost(src, dst, st, w)
-	}
-	if norm {
+	if plan.Kernel() == datatype.KernelBlock {
 		return c.cache.NormalizedGatherCost(src, dst, st)
 	}
 	return c.cache.CompiledGatherCost(src, dst, st)
@@ -137,14 +129,7 @@ func (c *Comm) planGatherCost(plan *datatype.Plan, src, dst buf.Region, st layou
 
 // planScatterCost is the scatter-side mirror of planGatherCost.
 func (c *Comm) planScatterCost(plan *datatype.Plan, src, dst buf.Region, st layout.Stats) float64 {
-	norm := plan.Kernel() == datatype.KernelBlock
-	if w := plan.Workers(); w > 1 {
-		if norm {
-			return c.cache.ParallelNormalizedScatterCost(src, dst, st, w)
-		}
-		return c.cache.ParallelCompiledScatterCost(src, dst, st, w)
-	}
-	if norm {
+	if plan.Kernel() == datatype.KernelBlock {
 		return c.cache.NormalizedScatterCost(src, dst, st)
 	}
 	return c.cache.CompiledScatterCost(src, dst, st)

@@ -323,9 +323,6 @@ func SkxImpi() *Profile {
 			PrefetchMinBlock: 256,
 			PrefetchStreams:  16,
 			SegmentOverhead:  0.15e-9,
-			// A Skylake core's copy loop runs close to the socket's
-			// sustainable rate: ~3.5 cores saturate it.
-			ParallelBWScale: 3.5,
 			// Intel MPI stages derived-type sends through 512 KiB
 			// internal chunks; with the core packing near the OmniPath
 			// injection rate, triple buffering keeps the NIC fed when
@@ -390,9 +387,6 @@ func Ls5Cray() *Profile {
 			PrefetchMinBlock: 256,
 			PrefetchStreams:  16,
 			SegmentOverhead:  0.16e-9,
-			// Aries-era Haswell sockets saturate slightly earlier than
-			// Skylake under a scalar copy loop.
-			ParallelBWScale: 3.2,
 			// Cray MPICH's smaller 256 KiB staging chunks double the
 			// chunk rate, so plain double buffering already hides the
 			// faster stage behind the slower one.
@@ -441,10 +435,6 @@ func KnlImpi() *Profile {
 			PrefetchMinBlock: 512,
 			PrefetchStreams:  4,
 			SegmentOverhead:  0.5e-9,
-			// A single weak in-order KNL core is nowhere near MCDRAM's
-			// aggregate bandwidth, so parallel packing keeps scaling
-			// much further than on the Xeon sockets.
-			ParallelBWScale: 6.5,
 			// The weak core packs far below the injection rate, so the
 			// pipeline is pack-bound: a deeper ring of the 512 KiB
 			// chunks keeps the wire busy across the in-order core's

@@ -119,8 +119,7 @@ func TestChunks(t *testing.T) {
 
 // TestInternalChunkPromotion pins the per-profile calibration of the
 // internal chunk size and the pipeline slot-ring depth on the memory
-// hierarchy, with the documented defaults for uncalibrated profiles —
-// the same promotion shape as ParallelBWScale.
+// hierarchy, with the documented defaults for uncalibrated profiles.
 func TestInternalChunkPromotion(t *testing.T) {
 	cases := []struct {
 		prof  *Profile
