@@ -21,6 +21,8 @@
 package buf
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -176,27 +178,79 @@ func CopyAt(dst Block, dstOff int, src Block, srcOff, n int) int {
 // into a real block; virtual blocks are untouched. The pattern is
 // position-dependent so that tests detect both missing and misplaced
 // bytes.
+//
+// Whole 256-byte rows are written a word at a time: within a row every
+// term of patternByte but byte(i) is constant, so each 8-byte word is
+// a fixed patternWords entry XORed with that constant broadcast to all
+// eight bytes. The last partial row is written byte by byte.
 func (b Block) FillPattern(seed byte) {
-	for i := range b.data {
-		b.data[i] = patternByte(seed, i)
+	d := b.data
+	i := 0
+	for ; i+patternRow <= len(d); i += patternRow {
+		row, k := (*[patternRow]byte)(d[i:]), rowKey(seed, i)
+		for j, w := range patternWords {
+			binary.LittleEndian.PutUint64(row[8*j:], w^k)
+		}
+	}
+	for ; i < len(d); i++ {
+		d[i] = patternByte(seed, i)
 	}
 }
 
 // VerifyPattern checks that a real block holds exactly the pattern
 // FillPattern(seed) would write. Virtual blocks verify trivially.
+// Matching whole rows are skipped word-wide; the byte loop then names
+// the first mismatching byte, if any, in the rest.
 func (b Block) VerifyPattern(seed byte) error {
-	for i, got := range b.data {
-		if want := patternByte(seed, i); got != want {
+	d := b.data
+	i := 0
+	for i+patternRow <= len(d) && rowMatches((*[patternRow]byte)(d[i:]), rowKey(seed, i)) {
+		i += patternRow
+	}
+	for ; i < len(d); i++ {
+		if got, want := d[i], patternByte(seed, i); got != want {
 			return fmt.Errorf("buf: pattern mismatch at byte %d: got %#x want %#x", i, got, want)
 		}
 	}
 	return nil
 }
 
-// patternByte is the deterministic fill function shared by FillPattern
-// and VerifyPattern.
+// rowMatches reports whether a whole row holds the pattern with row
+// key k.
+func rowMatches(row *[patternRow]byte, k uint64) bool {
+	for j, w := range patternWords {
+		if binary.LittleEndian.Uint64(row[8*j:]) != w^k {
+			return false
+		}
+	}
+	return true
+}
+
+// patternByte is the deterministic fill function FillPattern and
+// VerifyPattern compute word-wide.
 func patternByte(seed byte, i int) byte {
 	return seed ^ byte(i) ^ byte(i>>8)*31 ^ byte(i>>16)*17
+}
+
+// patternRow is the span over which patternByte varies only through
+// byte(i).
+const patternRow = 256
+
+// patternWords holds the byte(i) term of one row as little-endian
+// words: entry j packs bytes 8j..8j+7.
+var patternWords = func() (w [patternRow / 8]uint64) {
+	for j := range w {
+		for k := 0; k < 8; k++ {
+			w[j] |= uint64(8*j+k) << (8 * k)
+		}
+	}
+	return w
+}()
+
+// rowKey is the row-constant part of patternByte at position i,
+// broadcast to all eight bytes of a word.
+func rowKey(seed byte, i int) uint64 {
+	return uint64(seed^byte(i>>8)*31^byte(i>>16)*17) * 0x0101010101010101
 }
 
 // Overlaps reports whether two real blocks share any backing bytes —
@@ -223,12 +277,7 @@ func Equal(a, b Block) bool {
 	if a.data == nil || b.data == nil {
 		return true
 	}
-	for i := range a.data {
-		if a.data[i] != b.data[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(a.data, b.data)
 }
 
 // String implements fmt.Stringer for diagnostics.

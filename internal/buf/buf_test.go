@@ -1,6 +1,8 @@
 package buf
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -183,5 +185,120 @@ func TestQuickCopyClamped(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fillBytewise is the definitional byte loop the word-wide FillPattern
+// must reproduce.
+func fillBytewise(d []byte, seed byte) {
+	for i := range d {
+		d[i] = patternByte(seed, i)
+	}
+}
+
+// patternLengths covers every length up to 600 (all word tails around
+// the first two 256-byte rows) plus lengths either side of later row
+// boundaries and of the 64 KiB boundary where byte(i>>16) turns over.
+func patternLengths() []int {
+	var ls []int
+	for n := 0; n <= 600; n++ {
+		ls = append(ls, n)
+	}
+	for _, edge := range []int{1024, 4096, 1 << 16, 2 << 16} {
+		for d := -9; d <= 9; d++ {
+			ls = append(ls, edge+d)
+		}
+	}
+	return ls
+}
+
+func TestFillPatternMatchesBytewise(t *testing.T) {
+	for _, seed := range []byte{0, 1, 7, 0x80, 0xff} {
+		for _, n := range patternLengths() {
+			got := Alloc(n)
+			got.FillPattern(seed)
+			want := make([]byte, n)
+			fillBytewise(want, seed)
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("FillPattern(seed=%d) over %d bytes differs from patternByte", seed, n)
+			}
+			if err := FromBytes(want).VerifyPattern(seed); err != nil {
+				t.Fatalf("VerifyPattern(seed=%d) rejects the bytewise pattern over %d bytes: %v", seed, n, err)
+			}
+		}
+	}
+}
+
+// TestVerifyPatternReportsFirstMismatch corrupts one or two bytes at
+// every word lane, in word-aligned bodies, row tails and byte tails,
+// and requires the error to name the first corrupted byte with the
+// byte-loop error text.
+func TestVerifyPatternReportsFirstMismatch(t *testing.T) {
+	const seed = 5
+	for _, n := range []int{1, 7, 8, 9, 255, 256, 300, 1<<16 + 13} {
+		for _, at := range []int{0, 1, 7, 8, 13, 250, 255, 256, 263, 1 << 16, 1<<16 + 12} {
+			if at >= n {
+				continue
+			}
+			b := Alloc(n)
+			b.FillPattern(seed)
+			want := b.Bytes()[at]
+			b.Bytes()[at] ^= 0x5a
+			if at+3 < n {
+				b.Bytes()[at+3] ^= 0x11 // a later mismatch in the same word must not win
+			}
+			msg := fmt.Sprintf("buf: pattern mismatch at byte %d: got %#x want %#x", at, want^0x5a, want)
+			if err := b.VerifyPattern(seed); err == nil || err.Error() != msg {
+				t.Fatalf("n=%d at=%d: VerifyPattern = %v, want %q", n, at, err, msg)
+			}
+		}
+	}
+}
+
+func TestEqualDetectsEveryByte(t *testing.T) {
+	a, b := Alloc(300), Alloc(300)
+	a.FillPattern(3)
+	for i := 0; i < a.Len(); i++ {
+		b.FillPattern(3)
+		b.Bytes()[i] ^= 1
+		if Equal(a, b) {
+			t.Fatalf("difference at byte %d not detected", i)
+		}
+	}
+}
+
+const benchPatternBytes = 16 << 20 // the largest real payload of the Figure 1 sweep
+
+func BenchmarkFillPattern(b *testing.B) {
+	blk := Alloc(benchPatternBytes)
+	b.SetBytes(benchPatternBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk.FillPattern(byte(i))
+	}
+}
+
+func BenchmarkVerifyPattern(b *testing.B) {
+	blk := Alloc(benchPatternBytes)
+	blk.FillPattern(9)
+	b.SetBytes(benchPatternBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := blk.VerifyPattern(9); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEqual(b *testing.B) {
+	x, y := Alloc(benchPatternBytes), Alloc(benchPatternBytes)
+	x.FillPattern(9)
+	y.FillPattern(9)
+	b.SetBytes(benchPatternBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !Equal(x, y) {
+			b.Fatal("identical blocks not equal")
+		}
 	}
 }

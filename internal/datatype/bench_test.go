@@ -395,8 +395,8 @@ func benchPackSerial(b *testing.B, ty *Type, src, dst buf.Block) {
 // BenchmarkNormalizedKernels compares the raw compiled programs against
 // their canonicalised forms on the normalizer's layout families:
 // every-other doubles (stride kernel either way — a parity cell), the
-// 2-D block of 8-byte runs (the hot unrolled Elem8 tile), and the 2-D
-// block of 64-byte runs (the element-agnostic tile). The smoke cell is
+// 2-D block of 8-byte runs (the 8-byte strided mover, row by row), and
+// the 2-D block of 64-byte runs (one copyRun per run). The smoke cell is
 // the CI gate: the canonical 2-D block kernel must beat the generic
 // gather by >=1.3x and must not allocate in steady state, measured as
 // min-of-reps so the verdict holds at -benchtime=1x.

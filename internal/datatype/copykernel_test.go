@@ -3,6 +3,7 @@ package datatype
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -53,6 +54,146 @@ func TestCopyRunBoundsPanic(t *testing.T) {
 		}
 	}()
 	copyRun(make([]byte, 4), make([]byte, 16), 8)
+}
+
+// stridedMovers are the moveRuns instantiations under test, with
+// their element widths.
+var stridedMovers = []struct {
+	size int64
+	move func(dst []byte, do, dStep int64, src []byte, so, sStep, n int64)
+}{
+	{4, moveRuns[[4]byte]},
+	{8, moveRuns[[8]byte]},
+	{16, moveRuns[[16]byte]},
+}
+
+// firstRunAt returns where a sequence of n runs step apart must start
+// so that its lowest run lands at lo.
+func firstRunAt(lo, step, n int64) int64 {
+	if step < 0 && n > 0 {
+		return lo - (n-1)*step
+	}
+	return lo
+}
+
+// TestMoveRunsMatchesCopyRun sweeps every element width, run counts
+// 0–9 (every tail of the four-way unroll), forward, padded and
+// backward steps on both sides, and unaligned start offsets, and
+// requires moveRuns to reproduce one copyRun per run exactly, without
+// touching a byte outside the destination runs.
+func TestMoveRunsMatchesCopyRun(t *testing.T) {
+	for _, m := range stridedMovers {
+		w := m.size
+		steps := []int64{w, 2 * w, 3*w + 1, -w, -(3*w + 1)}
+		for n := int64(0); n <= 9; n++ {
+			for _, dStep := range steps {
+				for _, sStep := range steps {
+					for _, lo := range []int64{0, 1, 3, 7} {
+						span := func(step int64) int64 {
+							if step < 0 {
+								step = -step
+							}
+							return lo + 9*step + w + 5
+						}
+						src := make([]byte, span(sStep))
+						for i := range src {
+							src[i] = byte(i*131 + 7)
+						}
+						got := bytes.Repeat([]byte{0xCC}, int(span(dStep)))
+						want := bytes.Clone(got)
+						do, so := firstRunAt(lo, dStep, n), firstRunAt(lo+2, sStep, n)
+						m.move(got, do, dStep, src, so, sStep, n)
+						for k := int64(0); k < n; k++ {
+							copyRun(want[do+k*dStep:], src[so+k*sStep:], w)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("moveRuns W=%d n=%d dStep=%d sStep=%d lo=%d differs from copyRun", w, n, dStep, sStep, lo)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMoveRunsBoundsPanic pins the bounds-once contract: a sequence
+// whose first or last run leaves either slice panics before any byte
+// moves — guard bytes just outside the slices, still inside their
+// backing arrays, stay untouched — and the extent check cannot be
+// fooled by a run count whose (n-1)*step product wraps.
+func TestMoveRunsBoundsPanic(t *testing.T) {
+	const guard = 32
+	for _, m := range stridedMovers {
+		w := m.size
+		for _, step := range []int64{w, 3*w + 1, -w, -(3*w + 1)} {
+			abs := step
+			if abs < 0 {
+				abs = -abs
+			}
+			for _, n := range []int64{1, 2, 5} {
+				fit := (n-1)*abs + w // bytes n runs occupy
+				cases := []struct {
+					name    string
+					length  int64 // strided slice length
+					off     int64 // first run offset
+					wantErr bool
+				}{
+					{"exact fit", fit, firstRunAt(0, step, n), false},
+					{"one byte short", fit - 1, firstRunAt(0, step, n), true},
+					{"lowest run at -1", fit, firstRunAt(-1, step, n), true},
+					{"highest run one past", fit, firstRunAt(1, step, n), true},
+				}
+				for _, c := range cases {
+					for _, stridedDst := range []bool{true, false} {
+						backing := bytes.Repeat([]byte{0xCC}, int(guard+c.length+guard))
+						strided := backing[guard : guard+c.length]
+						packed := make([]byte, n*w)
+						for i := range packed {
+							packed[i] = 0x5A
+						}
+						panicked := func() (p bool) {
+							defer func() { p = recover() != nil }()
+							if stridedDst {
+								m.move(strided, c.off, step, packed, 0, w, n)
+							} else {
+								m.move(packed, 0, w, strided, c.off, step, n)
+							}
+							return false
+						}()
+						if panicked != c.wantErr {
+							t.Fatalf("W=%d step=%d n=%d %s (strided dst %v): panicked=%v, want %v",
+								w, step, n, c.name, stridedDst, panicked, c.wantErr)
+						}
+						if stridedDst {
+							for i := 0; i < guard; i++ {
+								if backing[i] != 0xCC || backing[len(backing)-1-i] != 0xCC {
+									t.Fatalf("W=%d step=%d n=%d %s: a guard byte outside the slice was written", w, step, n, c.name)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		// Run counts whose (n-1)*step wraps to a small offset.
+		dst, src := make([]byte, 64), make([]byte, 64)
+		for _, c := range []struct{ off, step, n int64 }{
+			{0, w, 1<<62/(w/4) + 1},
+			{0, 1 << 62, 5},
+			{0, math.MaxInt64, 3},
+			{48, -(1 << 62), 5},
+			{48, math.MinInt64, 2},
+		} {
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				m.move(dst, c.off, c.step, src, 0, 0, c.n)
+				return false
+			}()
+			if !panicked {
+				t.Fatalf("W=%d off=%d step=%d n=%d: wrapped extent accepted", w, c.off, c.step, c.n)
+			}
+		}
+	}
 }
 
 // BenchmarkCopyRunShort measures the word kernel on the short-run

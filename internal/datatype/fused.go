@@ -267,10 +267,10 @@ func FusedCopy(srcPlan, dstPlan *Plan, src, dst buf.Block) (int64, error) {
 // for the kernel pairing, splitting the packed range across goroutines
 // when parallel is set (every executor can start mid-stream, so the
 // split needs no segment alignment). A contiguous side turns the
-// transfer into a plain pack or unpack running the unrolled compiled
-// kernels against the peer's buffer window; a stride pair runs the
-// fused stride kernel; anything involving a gather table walks the
-// generic pair schedule.
+// transfer into a plain pack or unpack running the compiled kernels
+// against the peer's buffer window; a stride pair runs the fused
+// stride kernel; anything involving a gather table walks the generic
+// pair schedule.
 func fusedExec(srcPlan, dstPlan *Plan, src, dst buf.Block, total int64, parallel bool) {
 	if parallel {
 		fusedExecParallel(srcPlan, dstPlan, src, dst, total, workersFor(total))
@@ -279,7 +279,7 @@ func fusedExec(srcPlan, dstPlan *Plan, src, dst buf.Block, total int64, parallel
 	switch {
 	case dstPlan.kernel == KernelContig:
 		// Gather straight into the destination window: the source
-		// plan's own unrolled kernel, no staging in between.
+		// plan's own compiled kernel, no staging in between.
 		stream := dst.Slice(int(dstPlan.contigOff), int(total))
 		srcPlan.runRange(src, stream, 0, total, 0, packDirection)
 	case srcPlan.kernel == KernelContig:
@@ -352,37 +352,25 @@ func fusedStrideStride(db, sb []byte, sp, dp *planProg, total int64) {
 	dAdj := dp.ext - dp.runs*dp.step
 	so, do := sp.start, dp.start
 	var sJ, dJ int64
-	if sp.runLen == 8 && dp.runLen == 8 {
-		// Both streams advance 8 bytes per run — the canonical
-		// every-other-double exchange. Batch the spans up to the next
-		// instance rollover on either side, so the inner loop is pure
-		// word moves with fixed strides, unrolled like gatherRuns.
-		// Plan totals are multiples of the run length, so no tail
-		// handling is needed.
-		sStep, dStep := sp.step, dp.step
+	if sp.runLen == dp.runLen {
+		// Equal run lengths, as in the canonical every-other-double
+		// exchange: spans never split a run, so batch them up to the
+		// next instance rollover on either side and move each batch
+		// with one strided move. Plan totals are multiples of the run
+		// length, so no tail handling is needed.
+		runLen := sp.runLen
 		for pos := int64(0); pos < total; {
 			batch := sp.runs - sJ
 			if m := dp.runs - dJ; m < batch {
 				batch = m
 			}
-			if m := (total - pos) / 8; m < batch {
+			if m := (total - pos) / runLen; m < batch {
 				batch = m
 			}
-			k := int64(0)
-			for ; k+4 <= batch; k += 4 {
-				*(*[8]byte)(db[do:]) = *(*[8]byte)(sb[so:])
-				*(*[8]byte)(db[do+dStep:]) = *(*[8]byte)(sb[so+sStep:])
-				*(*[8]byte)(db[do+2*dStep:]) = *(*[8]byte)(sb[so+2*sStep:])
-				*(*[8]byte)(db[do+3*dStep:]) = *(*[8]byte)(sb[so+3*sStep:])
-				so += 4 * sStep
-				do += 4 * dStep
-			}
-			for ; k < batch; k++ {
-				*(*[8]byte)(db[do:]) = *(*[8]byte)(sb[so:])
-				so += sStep
-				do += dStep
-			}
-			pos += batch * 8
+			moveStrided(db, do, dp.step, sb, so, sp.step, runLen, batch)
+			so += batch * sp.step
+			do += batch * dp.step
+			pos += batch * runLen
 			if sJ += batch; sJ == sp.runs {
 				sJ = 0
 				so += sAdj

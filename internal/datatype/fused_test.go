@@ -74,6 +74,8 @@ func TestFusedCopyDifferential(t *testing.T) {
 		{"stride->gather", vec(10, 1, 2), idx(2, 0, 5, 9, 14, 22), 1, 1},
 		{"gather->gather", idx(1, 0, 3, 5, 10), idx(2, 0, 4), 1, 1},
 		{"counted->counted", vec(8, 1, 2), vec(4, 2, 3), 3, 3},
+		{"counted16B->counted16B", vec(6, 2, 3), vec(4, 2, 5), 2, 3},
+		{"blocked24B->blocked24B", vec(16, 3, 5), vec(16, 3, 4), 1, 1},
 		{"srcShorter", vec(8, 1, 2), vec(64, 1, 2), 1, 1},
 		{"dstShorter", vec(64, 1, 2), vec(8, 1, 2), 1, 1},
 	}

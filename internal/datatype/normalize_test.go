@@ -122,8 +122,8 @@ func TestNormalizeSubarrayOfContiguous(t *testing.T) {
 	if ok, raw, _ := plan.Canon(); !ok || raw != 6 {
 		t.Fatalf("Canon() = (%v, %d, _), want (true, 6, _)", ok, raw)
 	}
-	// 24-byte rows land outside the unrolled element classes: the
-	// registry must have fallen back to the element-agnostic tile.
+	// 24-byte runs land outside the canonical element widths: the
+	// class must report the element-agnostic family.
 	if c := plan.KernelClass(); c.Elem != ElemAny || c.Stride != StrideRegular {
 		t.Fatalf("class = %v, want any/regular", c)
 	}
@@ -185,22 +185,6 @@ func TestNormalizeStats(t *testing.T) {
 	}
 	if d.CompiledOps() < 1 || d.CompiledBytes() < plan.Bytes() {
 		t.Fatalf("block execution missing from compiled totals: %+v", d)
-	}
-}
-
-func TestKernelRegistryLookup(t *testing.T) {
-	if RegisteredKernelClasses() == 0 {
-		t.Fatal("empty kernel registry")
-	}
-	// Exact hit for the hot 8-byte 2-D class.
-	k := lookupBlockKernels(KernelClass{Elem8, StrideRegular, 2})
-	if k.GatherTile == nil || k.ScatterTile == nil {
-		t.Fatal("elem8/regular/2d resolved nil kernels")
-	}
-	// Unknown class falls back to the generic tile.
-	g := lookupBlockKernels(KernelClass{ElemAny, StrideRegular, 5})
-	if g.GatherTile == nil || g.ScatterTile == nil {
-		t.Fatal("fallback resolved nil kernels")
 	}
 }
 

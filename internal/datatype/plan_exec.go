@@ -180,7 +180,7 @@ func (p *Plan) runRange(user, stream buf.Block, lo, hi, soff int64, dir directio
 }
 
 // runStride is the regular run/gap kernel: closed-form addressing from
-// any packed position, whole runs moved by the unrolled copiers. soff
+// any packed position, whole runs moved by the strided mover. soff
 // is the packed position of sb's byte 0.
 func (p *Plan) runStride(user, stream buf.Block, lo, hi, soff int64, dir direction) {
 	ub, sb := user.Bytes(), stream.Bytes()
@@ -215,11 +215,7 @@ func (p *Plan) runStride(user, stream buf.Block, lo, hi, soff int64, dir directi
 			}
 			if nRuns > 0 {
 				base := inst*pr.ext + pr.start + j*step
-				if dir == packDirection {
-					gatherRuns(sb, ub, pos-soff, base, step, runLen, nRuns)
-				} else {
-					scatterRuns(sb, ub, pos-soff, base, step, runLen, nRuns)
-				}
+				strideRuns(dir, sb, ub, pos-soff, base, step, runLen, nRuns)
 				pos += nRuns * runLen
 				j += nRuns
 			}
@@ -290,98 +286,14 @@ func (p *Plan) runGather(user, stream buf.Block, lo, hi, soff int64, dir directi
 	}
 }
 
-// gatherRuns moves n whole runs of runLen bytes from the strided user
-// buffer into the packed stream, dispatching to an unrolled fast path
-// for the element sizes the paper's workloads use (4-, 8- and 16-byte
-// blocks: float, double, double complex).
-func gatherRuns(packed, strided []byte, ppos, base, step, runLen, n int64) {
-	switch runLen {
-	case 8:
-		for ; n >= 4; n -= 4 {
-			*(*[8]byte)(packed[ppos:]) = *(*[8]byte)(strided[base:])
-			*(*[8]byte)(packed[ppos+8:]) = *(*[8]byte)(strided[base+step:])
-			*(*[8]byte)(packed[ppos+16:]) = *(*[8]byte)(strided[base+2*step:])
-			*(*[8]byte)(packed[ppos+24:]) = *(*[8]byte)(strided[base+3*step:])
-			ppos += 32
-			base += 4 * step
-		}
-		for ; n > 0; n-- {
-			*(*[8]byte)(packed[ppos:]) = *(*[8]byte)(strided[base:])
-			ppos += 8
-			base += step
-		}
-	case 4:
-		for ; n >= 4; n -= 4 {
-			*(*[4]byte)(packed[ppos:]) = *(*[4]byte)(strided[base:])
-			*(*[4]byte)(packed[ppos+4:]) = *(*[4]byte)(strided[base+step:])
-			*(*[4]byte)(packed[ppos+8:]) = *(*[4]byte)(strided[base+2*step:])
-			*(*[4]byte)(packed[ppos+12:]) = *(*[4]byte)(strided[base+3*step:])
-			ppos += 16
-			base += 4 * step
-		}
-		for ; n > 0; n-- {
-			*(*[4]byte)(packed[ppos:]) = *(*[4]byte)(strided[base:])
-			ppos += 4
-			base += step
-		}
-	case 16:
-		for ; n > 0; n-- {
-			*(*[16]byte)(packed[ppos:]) = *(*[16]byte)(strided[base:])
-			ppos += 16
-			base += step
-		}
-	default:
-		for ; n > 0; n-- {
-			copyRun(packed[ppos:], strided[base:], runLen)
-			ppos += runLen
-			base += step
-		}
-	}
-}
-
-// scatterRuns is the inverse of gatherRuns: packed stream back into
-// the strided user buffer.
-func scatterRuns(packed, strided []byte, ppos, base, step, runLen, n int64) {
-	switch runLen {
-	case 8:
-		for ; n >= 4; n -= 4 {
-			*(*[8]byte)(strided[base:]) = *(*[8]byte)(packed[ppos:])
-			*(*[8]byte)(strided[base+step:]) = *(*[8]byte)(packed[ppos+8:])
-			*(*[8]byte)(strided[base+2*step:]) = *(*[8]byte)(packed[ppos+16:])
-			*(*[8]byte)(strided[base+3*step:]) = *(*[8]byte)(packed[ppos+24:])
-			ppos += 32
-			base += 4 * step
-		}
-		for ; n > 0; n-- {
-			*(*[8]byte)(strided[base:]) = *(*[8]byte)(packed[ppos:])
-			ppos += 8
-			base += step
-		}
-	case 4:
-		for ; n >= 4; n -= 4 {
-			*(*[4]byte)(strided[base:]) = *(*[4]byte)(packed[ppos:])
-			*(*[4]byte)(strided[base+step:]) = *(*[4]byte)(packed[ppos+4:])
-			*(*[4]byte)(strided[base+2*step:]) = *(*[4]byte)(packed[ppos+8:])
-			*(*[4]byte)(strided[base+3*step:]) = *(*[4]byte)(packed[ppos+12:])
-			ppos += 16
-			base += 4 * step
-		}
-		for ; n > 0; n-- {
-			*(*[4]byte)(strided[base:]) = *(*[4]byte)(packed[ppos:])
-			ppos += 4
-			base += step
-		}
-	case 16:
-		for ; n > 0; n-- {
-			*(*[16]byte)(strided[base:]) = *(*[16]byte)(packed[ppos:])
-			ppos += 16
-			base += step
-		}
-	default:
-		for ; n > 0; n-- {
-			copyRun(strided[base:], packed[ppos:], runLen)
-			ppos += runLen
-			base += step
-		}
+// strideRuns moves n whole runs of runLen bytes between the packed
+// stream (from ppos, dense) and the user buffer (run k at
+// base+k*step): a gather into the stream when packing, a scatter out
+// of it when unpacking.
+func strideRuns(dir direction, packed, user []byte, ppos, base, step, runLen, n int64) {
+	if dir == packDirection {
+		moveStrided(packed, ppos, runLen, user, base, step, runLen, n)
+	} else {
+		moveStrided(user, base, step, packed, ppos, runLen, runLen, n)
 	}
 }

@@ -6,19 +6,17 @@ import (
 	"repro/internal/buf"
 )
 
-// This file implements the specialized kernel registry behind the
-// canonical strided-block programs produced by the normalizer
-// (normalize.go). Kernels are keyed by (element size × stride class ×
-// dimensionality); the hot classes — 8-byte regular strides (the
-// paper's every-other-double family), 2-D/3-D blocks, 4- and 16-byte
-// elements — get unrolled tile specializations, and everything else
-// falls back to generic row loops over the existing gatherRuns/
-// scatterRuns copiers. Registration happens at init; lookups happen
-// once per type at Commit and the resolved kernels are stored on the
-// compiled program, so execution pays no registry dispatch.
+// This file implements the canonical strided-block kernel behind the
+// 2-D/3-D programs produced by the normalizer (normalize.go), and the
+// kernel classes (element size × stride class × dimensionality) that
+// attribution and the E19 canonical-normalizer study report. Every
+// class executes on the same strided mover, moveRuns (copykernel.go):
+// one generic body per element width, bounds-checked once per call.
+// runBlock walks a canonical program row by row and hands each row's
+// whole runs to it, so a class is a label, not a dispatch.
 
-// ElemClass buckets a canonical run length into the unrolled element
-// classes the paper's workloads use (float, double, double complex).
+// ElemClass buckets a canonical run length into the element classes
+// the paper's workloads use (float, double, double complex).
 type ElemClass uint8
 
 // The element classes.
@@ -81,8 +79,8 @@ func (s StrideClass) String() string {
 	return fmt.Sprintf("StrideClass(%d)", int(s))
 }
 
-// KernelClass is the registry key: which specialization family a
-// canonical program resolves to.
+// KernelClass names the family a compiled program belongs to, for
+// attribution and the canonical-form listings.
 type KernelClass struct {
 	Elem   ElemClass
 	Stride StrideClass
@@ -94,77 +92,12 @@ func (c KernelClass) String() string {
 	return fmt.Sprintf("%v/%v/%dd", c.Elem, c.Stride, c.Dims)
 }
 
-// RowKernel copies n whole runs of runLen bytes between the packed
-// stream (at ppos) and a strided row of the user buffer (runs at base,
-// base+step, …). gatherRuns and scatterRuns have exactly this shape.
-type RowKernel func(packed, strided []byte, ppos, base, step, runLen, n int64)
-
-// TileKernel copies rows whole rows of runsPerRow runs each: the 2-D
-// inner loop of a canonical block program, specialized so the row loop
-// needs no per-row dispatch.
-type TileKernel func(packed, strided []byte, ppos, base, step, runLen, runsPerRow, rowStride, rows int64)
-
-// BlockKernels is one registry entry: the row and tile kernels a
-// canonical block program executes in each direction.
-type BlockKernels struct {
-	GatherRow   RowKernel
-	ScatterRow  RowKernel
-	GatherTile  TileKernel
-	ScatterTile TileKernel
-}
-
-// genericBlockKernels is the universal fallback: row loops over the
-// generic copiers.
-var genericBlockKernels = BlockKernels{
-	GatherRow:   gatherRuns,
-	ScatterRow:  scatterRuns,
-	GatherTile:  gatherTileAny,
-	ScatterTile: scatterTileAny,
-}
-
-// blockRegistry maps kernel classes to their specializations. It is
-// populated at init and read-only afterwards, so Commit-time lookups
-// need no locking.
-var blockRegistry = map[KernelClass]BlockKernels{}
-
-// registerBlockKernel installs a specialization. Init-time only.
-func registerBlockKernel(c KernelClass, k BlockKernels) { blockRegistry[c] = k }
-
-func init() {
-	for _, dims := range []int{2, 3} {
-		registerBlockKernel(KernelClass{Elem8, StrideRegular, dims},
-			BlockKernels{gatherRuns, scatterRuns, gatherTile8, scatterTile8})
-		registerBlockKernel(KernelClass{Elem4, StrideRegular, dims},
-			BlockKernels{gatherRuns, scatterRuns, gatherTile4, scatterTile4})
-		registerBlockKernel(KernelClass{Elem16, StrideRegular, dims},
-			BlockKernels{gatherRuns, scatterRuns, gatherTile16, scatterTile16})
-	}
-}
-
-// lookupBlockKernels resolves a class against the registry: exact
-// match, then the element-agnostic class, then the generic fallback.
-func lookupBlockKernels(c KernelClass) BlockKernels {
-	if k, ok := blockRegistry[c]; ok {
-		return k
-	}
-	c.Elem = ElemAny
-	if k, ok := blockRegistry[c]; ok {
-		return k
-	}
-	return genericBlockKernels
-}
-
-// RegisteredKernelClasses returns the registry's specialization count,
-// for attribution and tests.
-func RegisteredKernelClasses() int { return len(blockRegistry) }
-
 // runBlock executes a canonical strided-block program over the packed
 // byte range [lo, hi); soff is the packed position of the stream
 // block's byte 0. Like every kernel it can start mid-stream in O(1):
 // the flat run index is a division, and its decomposition into
-// (plane, row, col) is two more. Whole rows go through the registry's
-// unrolled tile kernel; row remainders through the row kernel;
-// split-point partial runs through copyRun.
+// (plane, row, col) is two more. Whole rows and row remainders go
+// through the strided mover; split-point partial runs through copyRun.
 func (p *Plan) runBlock(user, stream buf.Block, lo, hi, soff int64, dir direction) {
 	ub, sb := user.Bytes(), stream.Bytes()
 	pr := p.prog
@@ -206,15 +139,13 @@ func (p *Plan) runBlock(user, stream buf.Block, lo, hi, soff int64, dir directio
 			runOff = 0
 			col++
 		case col == 0 && hi-pos >= rowBytes:
-			// Whole-row batch through the tile specialization.
+			// Whole-row batch: one strided move per row.
 			nRows := rows - row
 			if m := (hi - pos) / rowBytes; m < nRows {
 				nRows = m
 			}
-			if dir == packDirection {
-				pr.bk.GatherTile(sb, ub, pos-soff, base, cf.str[0], runLen, rowRuns, cf.str[1], nRows)
-			} else {
-				pr.bk.ScatterTile(sb, ub, pos-soff, base, cf.str[0], runLen, rowRuns, cf.str[1], nRows)
+			for r := int64(0); r < nRows; r++ {
+				strideRuns(dir, sb, ub, pos-soff+r*rowBytes, base+r*cf.str[1], cf.str[0], runLen, rowRuns)
 			}
 			pos += nRows * rowBytes
 			row += nRows
@@ -225,11 +156,7 @@ func (p *Plan) runBlock(user, stream buf.Block, lo, hi, soff int64, dir directio
 				nRuns = m
 			}
 			if nRuns > 0 {
-				if dir == packDirection {
-					pr.bk.GatherRow(sb, ub, pos-soff, base, cf.str[0], runLen, nRuns)
-				} else {
-					pr.bk.ScatterRow(sb, ub, pos-soff, base, cf.str[0], runLen, nRuns)
-				}
+				strideRuns(dir, sb, ub, pos-soff, base, cf.str[0], runLen, nRuns)
 				pos += nRuns * runLen
 				col += nRuns
 			}
@@ -261,141 +188,5 @@ func (p *Plan) runBlock(user, stream buf.Block, lo, hi, soff int64, dir directio
 			plane = 0
 			inst++
 		}
-	}
-}
-
-// gatherTileAny is the generic tile: a row loop over gatherRuns.
-func gatherTileAny(packed, strided []byte, ppos, base, step, runLen, runsPerRow, rowStride, rows int64) {
-	rowBytes := runsPerRow * runLen
-	for ; rows > 0; rows-- {
-		gatherRuns(packed, strided, ppos, base, step, runLen, runsPerRow)
-		ppos += rowBytes
-		base += rowStride
-	}
-}
-
-// scatterTileAny is the generic inverse tile.
-func scatterTileAny(packed, strided []byte, ppos, base, step, runLen, runsPerRow, rowStride, rows int64) {
-	rowBytes := runsPerRow * runLen
-	for ; rows > 0; rows-- {
-		scatterRuns(packed, strided, ppos, base, step, runLen, runsPerRow)
-		ppos += rowBytes
-		base += rowStride
-	}
-}
-
-// gatherTile8 is the unrolled 8-byte tile (the every-other-double
-// family laid out 2-D): pure word moves with fixed strides, no per-row
-// dispatch.
-func gatherTile8(packed, strided []byte, ppos, base, step, _, runsPerRow, rowStride, rows int64) {
-	for ; rows > 0; rows-- {
-		o := base
-		n := runsPerRow
-		for ; n >= 4; n -= 4 {
-			*(*[8]byte)(packed[ppos:]) = *(*[8]byte)(strided[o:])
-			*(*[8]byte)(packed[ppos+8:]) = *(*[8]byte)(strided[o+step:])
-			*(*[8]byte)(packed[ppos+16:]) = *(*[8]byte)(strided[o+2*step:])
-			*(*[8]byte)(packed[ppos+24:]) = *(*[8]byte)(strided[o+3*step:])
-			ppos += 32
-			o += 4 * step
-		}
-		for ; n > 0; n-- {
-			*(*[8]byte)(packed[ppos:]) = *(*[8]byte)(strided[o:])
-			ppos += 8
-			o += step
-		}
-		base += rowStride
-	}
-}
-
-// scatterTile8 is the inverse 8-byte tile.
-func scatterTile8(packed, strided []byte, ppos, base, step, _, runsPerRow, rowStride, rows int64) {
-	for ; rows > 0; rows-- {
-		o := base
-		n := runsPerRow
-		for ; n >= 4; n -= 4 {
-			*(*[8]byte)(strided[o:]) = *(*[8]byte)(packed[ppos:])
-			*(*[8]byte)(strided[o+step:]) = *(*[8]byte)(packed[ppos+8:])
-			*(*[8]byte)(strided[o+2*step:]) = *(*[8]byte)(packed[ppos+16:])
-			*(*[8]byte)(strided[o+3*step:]) = *(*[8]byte)(packed[ppos+24:])
-			ppos += 32
-			o += 4 * step
-		}
-		for ; n > 0; n-- {
-			*(*[8]byte)(strided[o:]) = *(*[8]byte)(packed[ppos:])
-			ppos += 8
-			o += step
-		}
-		base += rowStride
-	}
-}
-
-// gatherTile4 is the unrolled 4-byte (float) tile.
-func gatherTile4(packed, strided []byte, ppos, base, step, _, runsPerRow, rowStride, rows int64) {
-	for ; rows > 0; rows-- {
-		o := base
-		n := runsPerRow
-		for ; n >= 4; n -= 4 {
-			*(*[4]byte)(packed[ppos:]) = *(*[4]byte)(strided[o:])
-			*(*[4]byte)(packed[ppos+4:]) = *(*[4]byte)(strided[o+step:])
-			*(*[4]byte)(packed[ppos+8:]) = *(*[4]byte)(strided[o+2*step:])
-			*(*[4]byte)(packed[ppos+12:]) = *(*[4]byte)(strided[o+3*step:])
-			ppos += 16
-			o += 4 * step
-		}
-		for ; n > 0; n-- {
-			*(*[4]byte)(packed[ppos:]) = *(*[4]byte)(strided[o:])
-			ppos += 4
-			o += step
-		}
-		base += rowStride
-	}
-}
-
-// scatterTile4 is the inverse 4-byte tile.
-func scatterTile4(packed, strided []byte, ppos, base, step, _, runsPerRow, rowStride, rows int64) {
-	for ; rows > 0; rows-- {
-		o := base
-		n := runsPerRow
-		for ; n >= 4; n -= 4 {
-			*(*[4]byte)(strided[o:]) = *(*[4]byte)(packed[ppos:])
-			*(*[4]byte)(strided[o+step:]) = *(*[4]byte)(packed[ppos+4:])
-			*(*[4]byte)(strided[o+2*step:]) = *(*[4]byte)(packed[ppos+8:])
-			*(*[4]byte)(strided[o+3*step:]) = *(*[4]byte)(packed[ppos+12:])
-			ppos += 16
-			o += 4 * step
-		}
-		for ; n > 0; n-- {
-			*(*[4]byte)(strided[o:]) = *(*[4]byte)(packed[ppos:])
-			ppos += 4
-			o += step
-		}
-		base += rowStride
-	}
-}
-
-// gatherTile16 is the 16-byte (double complex) tile.
-func gatherTile16(packed, strided []byte, ppos, base, step, _, runsPerRow, rowStride, rows int64) {
-	for ; rows > 0; rows-- {
-		o := base
-		for n := runsPerRow; n > 0; n-- {
-			*(*[16]byte)(packed[ppos:]) = *(*[16]byte)(strided[o:])
-			ppos += 16
-			o += step
-		}
-		base += rowStride
-	}
-}
-
-// scatterTile16 is the inverse 16-byte tile.
-func scatterTile16(packed, strided []byte, ppos, base, step, _, runsPerRow, rowStride, rows int64) {
-	for ; rows > 0; rows-- {
-		o := base
-		for n := runsPerRow; n > 0; n-- {
-			*(*[16]byte)(strided[o:]) = *(*[16]byte)(packed[ppos:])
-			ppos += 16
-			o += step
-		}
-		base += rowStride
 	}
 }

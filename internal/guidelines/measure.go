@@ -200,7 +200,7 @@ func measureNormalized(p *perfmodel.Profile, lay LayoutSpec, n int64, cfg Config
 	return Result{
 		Cell:    Cell{Rule: NormalizedVsRaw, Bytes: rows * rowBytes, Ranks: 2},
 		LhsName: "SendpType(normalized)", RhsName: "SendpType(raw)",
-		Lhs:     normT, Rhs: rawT, Plan: normPlan,
+		Lhs: normT, Rhs: rawT, Plan: normPlan,
 	}, nil
 }
 
