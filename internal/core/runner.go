@@ -93,19 +93,21 @@ func (ps *pairState) init(c *mpi.Comm, w Workload, peer int) error {
 		return err
 	}
 	ps.c, ps.w, ps.peer = c, w, peer
-	alloc := func(n int64) buf.Block {
-		if w.Virtual {
-			return buf.Virtual(int(n))
-		}
-		// 64-byte aligned, zeroed at allocation: pages are instantiated
-		// here, outside the timing loop (§3.2).
-		return buf.AllocAligned(int(n))
-	}
-	ps.src = alloc(w.SrcBytes())
+	ps.src = ps.alloc(w.SrcBytes())
 	ps.src.FillPattern(srcSeed)
-	ps.recvbuf = alloc(w.Bytes())
+	ps.recvbuf = ps.alloc(w.Bytes())
 	ps.pong = buf.Alloc(0)
 	return nil
+}
+
+// alloc returns an n-byte payload block: length-only for virtual
+// workloads, otherwise 64-byte aligned and zeroed at allocation, so
+// pages are instantiated in Setup, outside the timing loop (§3.2).
+func (ps *pairState) alloc(n int64) buf.Block {
+	if ps.w.Virtual {
+		return buf.Virtual(int(n))
+	}
+	return buf.AllocAligned(int(n))
 }
 
 // pongTwoSided is the shared receiver side of all two-sided schemes:
@@ -124,8 +126,10 @@ func (ps *pairState) waitPong() error {
 	return err
 }
 
-// check verifies the receive buffer against a locally regenerated
-// packed payload.
+// check verifies the receive buffer against the expected packed
+// payload. Every rank fills its own src with the srcSeed pattern in
+// init and no scheme ever writes it, so the receiver packs its own
+// src rather than regenerating the sender's.
 func (ps *pairState) check() error {
 	if ps.w.Virtual {
 		return nil
@@ -135,9 +139,7 @@ func (ps *pairState) check() error {
 		return err
 	}
 	want := buf.Alloc(int(ty.Size()))
-	src := buf.Alloc(int(ps.w.SrcBytes()))
-	src.FillPattern(srcSeed)
-	if _, err := ty.Pack(src, 1, want); err != nil {
+	if _, err := ty.Pack(ps.src, 1, want); err != nil {
 		return err
 	}
 	if !buf.Equal(ps.recvbuf, want) {
@@ -147,13 +149,19 @@ func (ps *pairState) check() error {
 }
 
 // gatherLoop is the user-space manual copy: the paper's "copying"
-// scheme inner loop. It moves the bytes (for real payloads) and
-// charges the gather cost on the virtual clock.
+// scheme inner loop. The virtual clock is charged the user loop's
+// GatherCost, whatever moves the bytes on the host. Real payloads move
+// through the datatype engine's strided mover, one call for an exact
+// stride, and segment by segment for a jittered layout.
 func (ps *pairState) gatherLoop(dst buf.Block) {
 	lay := ps.w.Layout()
 	st := layout.Describe(lay)
 	ps.c.Charge(ps.c.Cache().GatherCost(ps.src.Region(), dst.Region(), st))
 	if ps.src.IsVirtual() || dst.IsVirtual() {
+		return
+	}
+	if v, ok := lay.(layout.Strided); ok {
+		datatype.MoveStrided(dst.Bytes(), 0, v.BlockLen, ps.src.Bytes(), 0, v.Stride, v.BlockLen, v.Count)
 		return
 	}
 	off := 0
@@ -177,21 +185,18 @@ func (r *referenceRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if err := r.init(c, w, peer); err != nil {
 		return err
 	}
+	r.contig = r.alloc(w.Bytes())
 	if w.Virtual {
-		r.contig = buf.Virtual(int(w.Bytes()))
-	} else {
-		r.contig = buf.AllocAligned(int(w.Bytes()))
-		// The reference payload is the packed pattern so receivers can
-		// verify it with the same check as every other scheme.
-		ty, err := w.VectorType()
-		if err != nil {
-			return err
-		}
-		if _, err := ty.Pack(r.src, 1, r.contig); err != nil {
-			return err
-		}
+		return nil
 	}
-	return nil
+	// The reference payload is the packed pattern so receivers can
+	// verify it with the same check as every other scheme.
+	ty, err := w.VectorType()
+	if err != nil {
+		return err
+	}
+	_, err = ty.Pack(r.src, 1, r.contig)
+	return err
 }
 
 func (r *referenceRunner) Ping() error {
@@ -218,11 +223,7 @@ func (r *copyingRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if err := r.init(c, w, peer); err != nil {
 		return err
 	}
-	if w.Virtual {
-		r.sendbuf = buf.Virtual(int(w.Bytes()))
-	} else {
-		r.sendbuf = buf.AllocAligned(int(w.Bytes()))
-	}
+	r.sendbuf = r.alloc(w.Bytes())
 	return nil
 }
 
@@ -293,14 +294,7 @@ func (r *bufferedRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	// The sender attaches a buffer big enough for one in-flight
 	// message, like the paper's MPI_Buffer_attach before MPI_Bsend.
 	if c.Rank() == 0 {
-		size := w.Bytes() + mpi.BsendOverheadBytes + 64
-		var backing buf.Block
-		if w.Virtual {
-			backing = buf.Virtual(int(size))
-		} else {
-			backing = buf.AllocAligned(int(size))
-		}
-		if err := c.BufferAttach(backing); err != nil {
+		if err := c.BufferAttach(r.alloc(w.Bytes() + mpi.BsendOverheadBytes + 64)); err != nil {
 			return err
 		}
 		r.attached = true
@@ -468,11 +462,7 @@ func (r *packRunner) Setup(c *mpi.Comm, w Workload, peer int) error {
 	if r.ty, err = w.VectorType(); err != nil {
 		return err
 	}
-	if w.Virtual {
-		r.sendbuf = buf.Virtual(int(w.Bytes()))
-	} else {
-		r.sendbuf = buf.AllocAligned(int(w.Bytes()))
-	}
+	r.sendbuf = r.alloc(w.Bytes())
 	return nil
 }
 

@@ -23,7 +23,7 @@ import (
 // float, double, double complex) between two strided sequences; a
 // packed stream is the sequence whose step is the width. It is the
 // single strided mover behind the stride, block and fused-stride
-// kernels, and moveStrided routes other widths to a copyRun loop.
+// kernels, and MoveStrided routes other widths to a copyRun loop.
 //
 // Contract: dst and src must not overlap (both kernels copy forward
 // and word-granular); callers owning potentially-aliased buffers must
@@ -92,10 +92,12 @@ func copyRun(dst, src []byte, n int64) {
 	}
 }
 
-// moveStrided moves n runs of size bytes from src (run k at
+// MoveStrided moves n runs of size bytes from src (run k at
 // so+k*sStep) to dst (run k at do+k*dStep): the canonical widths
-// through moveRuns, any other through one copyRun per run.
-func moveStrided(dst []byte, do, dStep int64, src []byte, so, sStep, size, n int64) {
+// through moveRuns, any other through one copyRun per run. It is the
+// strided mover of every plan kernel and of core's user copy loop;
+// dst and src must not overlap, and a run outside either slice panics.
+func MoveStrided(dst []byte, do, dStep int64, src []byte, so, sStep, size, n int64) {
 	switch size {
 	case 4:
 		moveRuns[[4]byte](dst, do, dStep, src, so, sStep, n)

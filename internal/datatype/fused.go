@@ -367,7 +367,7 @@ func fusedStrideStride(db, sb []byte, sp, dp *planProg, total int64) {
 			if m := (total - pos) / runLen; m < batch {
 				batch = m
 			}
-			moveStrided(db, do, dp.step, sb, so, sp.step, runLen, batch)
+			MoveStrided(db, do, dp.step, sb, so, sp.step, runLen, batch)
 			so += batch * sp.step
 			do += batch * dp.step
 			pos += batch * runLen

@@ -292,8 +292,8 @@ func (p *Plan) runGather(user, stream buf.Block, lo, hi, soff int64, dir directi
 // of it when unpacking.
 func strideRuns(dir direction, packed, user []byte, ppos, base, step, runLen, n int64) {
 	if dir == packDirection {
-		moveStrided(packed, ppos, runLen, user, base, step, runLen, n)
+		MoveStrided(packed, ppos, runLen, user, base, step, runLen, n)
 	} else {
-		moveStrided(user, base, step, packed, ppos, runLen, runLen, n)
+		MoveStrided(user, base, step, packed, ppos, runLen, runLen, n)
 	}
 }
