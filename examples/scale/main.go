@@ -56,7 +56,7 @@ func main() {
 	// The matching attribution is the point of the sharded matcher:
 	// every receive here names its source, so all matches take the
 	// per-(communicator, source) fast path — no global scan, no
-	// wildcard slow path, regardless of how many jobs share the
+	// wildcard arrival index, regardless of how many jobs share the
 	// fabric.
 	fmt.Printf("  matching: %d shard queues live, %d fast-path takes, %d wildcard takes\n",
 		res.Matching.Queues, res.Matching.FastTakes, res.Matching.WildTakes)

@@ -54,9 +54,6 @@ type Block struct {
 	// that may return it; 0 otherwise. Slices clear it so only the
 	// original handle can release.
 	pool int8
-	// shard is the pool shard the backing storage belongs to;
-	// meaningful only when pool != 0.
-	shard int8
 }
 
 // Alloc returns a real zeroed block of n bytes.

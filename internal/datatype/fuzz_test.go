@@ -238,7 +238,7 @@ func FuzzPackRoundtrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("plan (%v): %v", ty, err)
 			}
-			cp, err := NewChunkPipeline(plan, src, 0, total, chunk, depth, 0)
+			cp, err := NewChunkPipeline(plan, src, 0, total, chunk, depth)
 			if err != nil {
 				t.Fatalf("pipeline (%v chunk=%d depth=%d): %v", ty, chunk, depth, err)
 			}

@@ -434,7 +434,7 @@ func TestNormalizePipeline(t *testing.T) {
 	if _, err := planR.Pack(src, want); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := NewChunkPipeline(planN, src, 0, planN.Bytes(), 512, 2, 0)
+	pl, err := NewChunkPipeline(planN, src, 0, planN.Bytes(), 512, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

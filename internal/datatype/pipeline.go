@@ -54,8 +54,8 @@ type PipeChunk struct {
 // Close joins the worker and returns the ring storage to the pool.
 //
 // The ring is the pipeline's entire footprint: depth slots drawn from
-// the caller's pool shard at construction, recycled in place, released
-// at Close. A consumer that holds every chunk without recycling
+// the block pool at construction, recycled in place, released at
+// Close. A consumer that holds every chunk without recycling
 // deadlocks against its own worker, exactly like a bounded queue.
 type ChunkPipeline struct {
 	plan   *Plan
@@ -73,9 +73,9 @@ type ChunkPipeline struct {
 
 // NewChunkPipeline validates and starts a pipeline packing the plan's
 // packed byte range [lo, hi) out of user in chunk-sized pieces through
-// a depth-slot ring drawn from the given pool shard (the caller's
-// rank). depth is clamped to [1, chunks]; chunk must be positive.
-func NewChunkPipeline(plan *Plan, user buf.Block, lo, hi, chunk int64, depth, shard int) (*ChunkPipeline, error) {
+// a depth-slot ring of pooled blocks. depth is clamped to [1, chunks];
+// chunk must be positive.
+func NewChunkPipeline(plan *Plan, user buf.Block, lo, hi, chunk int64, depth int) (*ChunkPipeline, error) {
 	if chunk <= 0 {
 		return nil, fmt.Errorf("%w: pipeline chunk %d", ErrArgument, chunk)
 	}
@@ -108,7 +108,7 @@ func NewChunkPipeline(plan *Plan, user buf.Block, lo, hi, chunk int64, depth, sh
 		if user.IsVirtual() {
 			cp.slots[i] = buf.Virtual(int(chunk))
 		} else {
-			cp.slots[i] = buf.GetPooledFor(shard, int(chunk))
+			cp.slots[i] = buf.GetPooled(int(chunk))
 		}
 		cp.free <- cp.slots[i]
 	}

@@ -52,7 +52,7 @@ func TestChunkPipelineMatchesPack(t *testing.T) {
 				for _, depth := range []int{1, 2, 4} {
 					t.Run(fmt.Sprintf("%s/count%d/chunk%d/depth%d", name, count, chunk, depth), func(t *testing.T) {
 						before := PlanStatsSnapshot()
-						cp, err := NewChunkPipeline(plan, src, 0, plan.Bytes(), chunk, depth, 1)
+						cp, err := NewChunkPipeline(plan, src, 0, plan.Bytes(), chunk, depth)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -105,7 +105,7 @@ func TestChunkPipelineRange(t *testing.T) {
 		if err := plan.PackRange(src, want, lo, hi); err != nil {
 			t.Fatal(err)
 		}
-		cp, err := NewChunkPipeline(plan, src, lo, hi, 13, 2, 0)
+		cp, err := NewChunkPipeline(plan, src, lo, hi, 13, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestChunkPipelineSlotRing(t *testing.T) {
 	src := buf.Alloc(userBufLen(ty, 1))
 	for _, drain := range []int{-1, 0, 1} { // full drain, none, one chunk
 		before := buf.PoolStatsSnapshot()
-		cp, err := NewChunkPipeline(plan, src, 0, plan.Bytes(), 512, 3, 2)
+		cp, err := NewChunkPipeline(plan, src, 0, plan.Bytes(), 512, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,9 +159,6 @@ func TestChunkPipelineSlotRing(t *testing.T) {
 		if d.Puts != 3 {
 			t.Fatalf("drain=%d: returned %d slots, want 3", drain, d.Puts)
 		}
-		if d.Shards[2].Gets != 3 || d.Shards[2].Puts != 3 {
-			t.Fatalf("drain=%d: ring not attributed to shard 2: %+v", drain, d.Shards[2])
-		}
 	}
 }
 
@@ -176,7 +173,7 @@ func TestChunkPipelineVirtual(t *testing.T) {
 	src := buf.Virtual(userBufLen(ty, 1))
 	poolBefore := buf.PoolStatsSnapshot()
 	before := PlanStatsSnapshot()
-	cp, err := NewChunkPipeline(plan, src, 0, plan.Bytes(), 1<<10, 2, 0)
+	cp, err := NewChunkPipeline(plan, src, 0, plan.Bytes(), 1<<10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,17 +209,17 @@ func TestChunkPipelineArgErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := buf.Alloc(userBufLen(ty, 1))
-	if _, err := NewChunkPipeline(plan, src, 0, plan.Bytes(), 0, 2, 0); err == nil {
+	if _, err := NewChunkPipeline(plan, src, 0, plan.Bytes(), 0, 2); err == nil {
 		t.Error("zero chunk accepted")
 	}
-	if _, err := NewChunkPipeline(plan, src, -1, plan.Bytes(), 64, 2, 0); err == nil {
+	if _, err := NewChunkPipeline(plan, src, -1, plan.Bytes(), 64, 2); err == nil {
 		t.Error("negative lo accepted")
 	}
-	if _, err := NewChunkPipeline(plan, src, 0, plan.Bytes()+1, 64, 2, 0); err == nil {
+	if _, err := NewChunkPipeline(plan, src, 0, plan.Bytes()+1, 64, 2); err == nil {
 		t.Error("hi past stream accepted")
 	}
 	short := buf.Alloc(8)
-	if _, err := NewChunkPipeline(plan, short, 0, plan.Bytes(), 64, 2, 0); err == nil {
+	if _, err := NewChunkPipeline(plan, short, 0, plan.Bytes(), 64, 2); err == nil {
 		t.Error("short user buffer accepted")
 	}
 }

@@ -138,11 +138,26 @@ func (h *Hierarchy) Validate() error {
 // State tracks cache warmth per buffer region with an LRU over
 // regions. It belongs to one rank but may be shared with that rank's
 // in-flight non-blocking operations, so it is internally locked.
+//
+// The LRU order is a log of touches. A re-touch appends a fresh entry
+// and retires the region's earlier one: in place when it is among the
+// newest few entries, as in a small or recency-ordered working set;
+// otherwise, instead of searching for it, by counting it stale. A
+// region's stale entries all precede its live one, so reading the log
+// from the head, an entry is stale while its region's count is
+// non-zero. Eviction drops stale entries as it meets them, and the log
+// is compacted once stale entries exceed half the live ones, so a
+// touch costs O(1) amortised however many regions are resident. Only
+// regions with stale entries carry a count: every rank keeps a State,
+// and most resident regions are transit blocks touched once, so a
+// per-region log position would cost heap on each of them.
 type State struct {
 	mu       sync.Mutex
 	h        *Hierarchy
 	resident map[buf.Region]int64 // bytes of each region held in LLC
-	order    []buf.Region         // LRU order, oldest first
+	order    []buf.Region         // touch log, oldest first
+	stale    map[buf.Region]int   // stale entries still in order, per region; nil until needed
+	nstale   int                  // sum of stale
 	used     int64
 	disabled bool // when true, Touch/Flush are no-ops and reads are DRAM-priced
 }
@@ -180,18 +195,19 @@ func (s *State) touch(r buf.Region, n int64) {
 	}
 	if old, ok := s.resident[r]; ok {
 		s.used -= old
-		s.removeFromOrder(r)
+		s.retire(r)
 	}
 	s.resident[r] = n
 	s.order = append(s.order, r)
 	s.used += n
-	for s.used > s.h.LLC && len(s.order) > 1 {
+	// r's live entry is the newest, so it is never evicted while
+	// another region is resident.
+	for s.used > s.h.LLC && len(s.resident) > 1 {
 		oldest := s.order[0]
-		if oldest == r {
-			// Never evict what we just touched below its share.
-			break
-		}
 		s.order = s.order[1:]
+		if s.dropStale(oldest) {
+			continue
+		}
 		s.used -= s.resident[oldest]
 		delete(s.resident, oldest)
 	}
@@ -202,15 +218,56 @@ func (s *State) touch(r buf.Region, n int64) {
 		s.used = s.h.LLC
 		_ = over
 	}
+	if s.nstale > len(s.resident)/2+4 {
+		live := s.order[:0]
+		for i, x := range s.order {
+			if s.nstale == 0 {
+				live = append(live, s.order[i:]...)
+				break
+			}
+			if !s.dropStale(x) {
+				live = append(live, x)
+			}
+		}
+		s.order = live
+	}
 }
 
-func (s *State) removeFromOrder(r buf.Region) {
-	for i, x := range s.order {
-		if x == r {
+// retire supersedes r's live entry, the last of r's entries in the
+// log, before r is appended again: removed in place when it is among
+// the newest recentWindow entries (a small working set, where a short
+// scan beats the counting), counted stale otherwise.
+func (s *State) retire(r buf.Region) {
+	for i := len(s.order) - 1; i >= 0 && i >= len(s.order)-recentWindow; i-- {
+		if s.order[i] == r {
 			s.order = append(s.order[:i], s.order[i+1:]...)
 			return
 		}
 	}
+	if s.stale == nil {
+		s.stale = make(map[buf.Region]int)
+	}
+	s.stale[r]++
+	s.nstale++
+}
+
+// recentWindow bounds retire's scan, keeping a touch O(1).
+const recentWindow = 16
+
+// dropStale consumes one stale entry of r, reporting whether r had one:
+// met in log order, an entry of r is stale while r's count is non-zero.
+func (s *State) dropStale(r buf.Region) bool {
+	k := s.stale[r]
+	if k == 0 {
+		return false
+	}
+	if k == 1 {
+		delete(s.stale, r)
+	} else {
+		s.stale[r] = k - 1
+	}
+	s.nstale--
+	return true
 }
 
 // Residency returns the fraction of an n-byte working set of region r
@@ -242,6 +299,8 @@ func (s *State) Flush() {
 	}
 	s.resident = make(map[buf.Region]int64)
 	s.order = s.order[:0]
+	clear(s.stale)
+	s.nstale = 0
 	s.used = 0
 }
 

@@ -99,7 +99,7 @@ func (c *Comm) reduce(send, recv buf.Block, count int, op Op, root int) error {
 	n := count * elem.Float64Size
 	acc := elem.ToFloat64s(send.Slice(0, n))
 	// Merge scratch: pooled, fully received before each read.
-	tmpBlock := buf.GetPooledFor(c.rank, n)
+	tmpBlock := buf.GetPooled(n)
 	defer buf.PutPooled(tmpBlock)
 	rel := (c.rank - root + c.size) % c.size
 	abs := func(r int) int { return (r + root) % c.size }
@@ -203,7 +203,7 @@ func (c *Comm) scan(send, recv buf.Block, count int, op Op) error {
 	n := count * elem.Float64Size
 	acc := elem.ToFloat64s(send.Slice(0, n))
 	if c.rank > 0 {
-		prev := buf.GetPooledFor(c.rank, n)
+		prev := buf.GetPooled(n)
 		// acc aliases prev below, and sends copy before returning, so
 		// the release can wait for function exit.
 		defer buf.PutPooled(prev)

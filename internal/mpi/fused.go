@@ -321,7 +321,7 @@ func (c *Comm) stagedScatter(plan *datatype.Plan, fd *fusedDst, b buf.Block, st 
 	// concurrently scattering over.
 	if chunks > 1 && pipelineEnabled() && !buf.Overlaps(b, fd.user) {
 		cost := memsim.PipelinedChunkCost(gather, scatter, chunks, c.prof.PipelineDepth())
-		cp, err := datatype.NewChunkPipeline(plan, b, 0, nCopy, chunk, c.prof.PipelineDepth(), c.rank)
+		cp, err := datatype.NewChunkPipeline(plan, b, 0, nCopy, chunk, c.prof.PipelineDepth())
 		if err != nil {
 			return cost, err
 		}

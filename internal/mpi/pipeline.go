@@ -21,8 +21,8 @@ import (
 // injection, so chunk k+1 packs while chunk k is on the wire. The
 // span collapses from pack+wire to the two-stage pipeline bound
 // (memsim.PipelinedChunkCost), and the ring — PipelineDepth slots of
-// InternalChunk bytes from this rank's pool shard — is the path's
-// entire allocation footprint.
+// InternalChunk bytes from the block pool — is the path's entire
+// allocation footprint.
 
 // SendpType is the software-pipelined typed send: identical semantics
 // to SendType, but past the eager limit the rendezvous chunk loop

@@ -469,14 +469,13 @@ func (c *Comm) drainPacker(packer *datatype.Packer, dst buf.Block, n int64) erro
 // (datatype.ChunkPipeline) while this goroutine injects each packed
 // slot into the destination, so chunk k+1 packs while chunk k injects.
 // The ring is the path's entire allocation footprint — depth pooled
-// slots from this rank's shard, recycled in place and released on
-// return.
+// slots, recycled in place and released on return.
 func (c *Comm) drainPipelined(plan *datatype.Plan, user, dst buf.Block, n int64) error {
 	limit := int64(dst.Len())
 	if n < limit {
 		limit = n
 	}
-	cp, err := datatype.NewChunkPipeline(plan, user, 0, limit, c.prof.InternalChunk(), c.prof.PipelineDepth(), c.rank)
+	cp, err := datatype.NewChunkPipeline(plan, user, 0, limit, c.prof.InternalChunk(), c.prof.PipelineDepth())
 	if err != nil {
 		return err
 	}
@@ -545,29 +544,27 @@ func (c *Comm) deliverEager(dest, tag int, transit buf.Block, n int64, injectEnd
 }
 
 // transitCopy clones a payload into a fabric-owned transit block,
-// virtual when the source is virtual. Transit blocks come from this
-// rank's shard of the size-classed pool (buf.GetPooledFor) and are
-// released by the receive completion that consumes them — PutPooled
-// returns the storage to the allocating rank's shard, so ranks never
-// contend on one free list per class.
+// virtual when the source is virtual. Transit blocks come from the
+// size-classed pool (buf.GetPooled) and are released by the receive
+// completion that consumes them.
 func (c *Comm) transitCopy(b buf.Block) buf.Block {
 	if b.IsVirtual() {
 		return buf.Virtual(b.Len())
 	}
-	t := buf.GetPooledFor(c.rank, b.Len())
+	t := buf.GetPooled(b.Len())
 	buf.Copy(t, b)
 	return t
 }
 
 // transitAlloc allocates a transit block of n bytes matching the
-// reality of the user buffer, from this rank's pool shard. Real
-// blocks carry undefined contents; every caller fills them completely
-// (eager pack, rendezvous stream) before the receiver reads.
+// reality of the user buffer, from the block pool. Real blocks carry
+// undefined contents; every caller fills them completely (eager pack,
+// rendezvous stream) before the receiver reads.
 func (c *Comm) transitAlloc(user buf.Block, n int64) buf.Block {
 	if user.IsVirtual() {
 		return buf.Virtual(int(n))
 	}
-	return buf.GetPooledFor(c.rank, int(n))
+	return buf.GetPooled(int(n))
 }
 
 // recvContig receives into a contiguous buffer; src and tag may be

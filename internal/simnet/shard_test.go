@@ -3,8 +3,11 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/buf"
 )
@@ -29,9 +32,13 @@ func runDifferential(t *testing.T, seed int64) {
 		shard.dedup.Store(true)
 		legacy.dedup = true
 	}
-	nctx := 1 + rng.Intn(3)
+	nctx := 2 + rng.Intn(3)
 	nsrc := 1 + rng.Intn(6)
 	ntag := 1 + rng.Intn(3)
+	// The last context sees no wildcard take or peek before op lateOp,
+	// so its arrival index is built from shards that already hold
+	// front-puts, duplicates and gaps left by specific takes.
+	late, lateOp := nctx-1, 200+rng.Intn(1500)
 
 	// Per-source link sequence counters, shared across contexts like
 	// the real per-(src→dst) link counters.
@@ -66,7 +73,7 @@ func runDifferential(t *testing.T, seed int64) {
 		}
 		ctx := rng.Intn(nctx)
 		src := rng.Intn(nsrc)
-		if rng.Float64() < 0.35 {
+		if rng.Float64() < 0.35 && (ctx != late || op >= lateOp) {
 			src = AnySource
 		}
 		tag := rng.Intn(ntag)
@@ -291,6 +298,85 @@ func TestConcurrentMatchConservation(t *testing.T) {
 	}
 	if st.Queues == 0 {
 		t.Fatalf("match stats report zero live queues")
+	}
+}
+
+// TestConcurrentIndexBuild races wildcard takers against specific
+// takers and putters on one context from its first envelope on, so the
+// arrival index is built while shards fill and drain (fresh mailbox per
+// round). Every envelope must be taken exactly once, and each taker
+// must see every source's envelopes in Seq order. Under -race this is
+// the index's data-race coverage.
+func TestConcurrentIndexBuild(t *testing.T) {
+	const (
+		srcs   = 6
+		perSrc = 150
+		rounds = 20
+	)
+	for round := 0; round < rounds; round++ {
+		b := newMailbox()
+		var taken atomic.Int64
+		seen := make([]atomic.Int32, srcs*perSrc)
+		var wg sync.WaitGroup
+		for s := 0; s < srcs; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(round*srcs + s)))
+				for i := 0; i < perSrc; i++ {
+					// Every third source's envelopes sometimes jump the
+					// queue, as reorder faults do.
+					b.put(&Message{Src: s, Tag: 1, Seq: int64(i)}, s%3 == 0 && rng.Intn(4) == 0)
+				}
+			}(s)
+		}
+		taker := func(src int) {
+			defer wg.Done()
+			last := make([]int64, srcs)
+			for i := range last {
+				last[i] = -1
+			}
+			stall := time.Now().Add(10 * time.Second)
+			for taken.Load() < srcs*perSrc {
+				if time.Now().After(stall) {
+					t.Errorf("stalled with %d of %d envelopes taken", taken.Load(), srcs*perSrc)
+					return
+				}
+				var m *Message
+				if src == AnySource {
+					m = b.tryTake(0, AnySource, AnyTag)
+				} else {
+					m = b.tryTake(0, src, 1)
+				}
+				if m == nil {
+					runtime.Gosched()
+					continue
+				}
+				taken.Add(1)
+				if n := seen[m.Src*perSrc+int(m.Seq)].Add(1); n != 1 {
+					t.Errorf("src %d seq %d taken %d times", m.Src, m.Seq, n)
+				}
+				if m.Seq <= last[m.Src] {
+					t.Errorf("src %d: seq %d taken after %d", m.Src, m.Seq, last[m.Src])
+				}
+				last[m.Src] = m.Seq
+			}
+		}
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go taker(AnySource)
+		}
+		for s := 0; s < srcs; s += 2 {
+			wg.Add(1)
+			go taker(s)
+		}
+		wg.Wait()
+		if got := b.takes.Load(); got != srcs*perSrc {
+			t.Fatalf("round %d: %d takes, want %d", round, got, srcs*perSrc)
+		}
+		if m := b.tryTake(0, AnySource, AnyTag); m != nil {
+			t.Fatalf("round %d: envelope %+v left after the drain", round, m)
+		}
 	}
 }
 

@@ -21,24 +21,37 @@
 // the front with negative tickets, so they still overtake everything
 // queued, exactly like the legacy whole-mailbox prepend).
 //
-// Wildcard (AnySource) receives take a slow path: phase one scans
-// every queue of the context, locking each briefly, and records the
-// ticket of its first tag-matching envelope; phase two locks the queue
-// with the lowest such ticket and re-selects, restarting the scan if
-// the winner was emptied concurrently. Within the winning queue the
-// lowest link-sequence number wins (pairwise FIFO, healing reorder
-// faults), which reproduces the legacy single-scan matcher's order
-// exactly — the property the randomized differential test in
-// shard_test.go pins against the reference implementation.
+// Wildcard (AnySource) receives walk a per-context arrival index: the
+// context's queued envelopes in ticket order, built the first time the
+// context sees a wildcard take or peek by merging its shards by ticket
+// and appended to by every later put (index lock first, then the
+// shard lock). Contexts that never see a wildcard have no index and
+// keep the plain put path. A wildcard take walks the index from its
+// head to the first live tag-matching envelope and runs that shard's
+// selection, where the lowest link-sequence number wins (pairwise
+// FIFO, healing reorder faults). That reproduces the legacy single-
+// scan matcher's order exactly — the property the randomized
+// differential test in shard_test.go pins against the reference
+// implementation — at a cost independent of how many sources are
+// queued. Envelopes that leave their shard any other way (specific
+// takes, pruned duplicates) are flagged taken and dropped from the
+// index lazily: popped at its head when the index lock is free,
+// compacted away once they outnumber the live entries.
 //
 // Blocking receives wait on a per-mailbox version counter: every
 // enqueue bumps the version and wakes waiters only when the waiter
 // count is non-zero, so uncontended delivery is two atomic ops, not a
-// mutex + broadcast.
+// mutex + broadcast. A put that wakes a parked AnySource receiver
+// yields its processor: the receiver is typically the one consumer of
+// many producers, and running it at once drains the burst in one pass
+// instead of letting it fall behind and park again.
 package simnet
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -193,6 +206,13 @@ type Message struct {
 	// treat it exactly like a checksum mismatch.
 	Corrupt bool
 
+	// taken is set to 1 (atomically) when the envelope leaves its
+	// indexed shard, by a take or a duplicate prune; the context's
+	// arrival index skips such entries and drops them lazily. A plain
+	// word, not an atomic.Bool, because duplicate faults copy
+	// envelopes by value. (Beside the flags, it fits their padding.)
+	taken uint32
+
 	// Err is a delivery error attached in flight (ErrShortDelivery for
 	// truncation): it surfaces as a typed error from Recv/Wait when no
 	// retry machinery is armed to re-request the payload.
@@ -343,14 +363,14 @@ func (c *rankCounters) snapshot() Counters {
 
 // MatchStats is the fabric-wide matching attribution: how many sharded
 // queues exist and how the take traffic split between the O(1)
-// specific-source fast path and the all-queue wildcard slow path. The
+// specific-source fast path and the wildcard arrival-index walk. The
 // scale harness reports it per cell so shard contention is visible.
 type MatchStats struct {
 	// Queues is the live (ctx, source) queue count across mailboxes.
 	Queues int64
 	// FastTakes counts specific-source matches (single queue lock).
 	FastTakes int64
-	// WildTakes counts AnySource matches (full context scan).
+	// WildTakes counts AnySource matches (arrival-index walk).
 	WildTakes int64
 }
 
@@ -625,11 +645,15 @@ func (f *Fabric) Deliver(dst int, m *Message) Fault {
 		m.Arrival += vclock.Time(fault.Delay)
 	}
 	front := fault.Kind == FaultReorder
-	f.boxes[dst].put(m, front)
-	if fault.Kind == FaultDuplicate {
-		dup := *m
-		f.boxes[dst].put(&dup, false)
+	if fault.Kind != FaultDuplicate {
+		f.boxes[dst].put(m, front)
+		return fault
 	}
+	// Copy before the original is visible: a receiver may take it (and
+	// write its bookkeeping) the moment it is queued.
+	dup := *m
+	f.boxes[dst].put(m, front)
+	f.boxes[dst].put(&dup, false)
 	return fault
 }
 
@@ -737,6 +761,10 @@ type srcQueue struct {
 	// (duplicate faults): within one (ctx, src) shard the Seq alone
 	// identifies the injection.
 	consumed map[int64]struct{}
+	// ix is the context's arrival index once a wildcard has built it.
+	// It is stored under mu and never cleared, so a put that loaded
+	// nil re-checks it once it holds mu.
+	ix atomic.Pointer[arrivalIndex]
 }
 
 // selectLocked picks the envelope the matcher should deliver for tag,
@@ -744,14 +772,13 @@ type srcQueue struct {
 // earliest arrival breaking ties (the slice is ticket-ordered, so the
 // first match is the earliest and is only displaced by a strictly
 // lower Seq — exactly the legacy whole-mailbox rule restricted to one
-// source). It also returns the ticket of the first (earliest) match,
-// which the wildcard path compares across queues, and prunes consumed
-// duplicate copies when dedup is on.
-func (q *srcQueue) selectLocked(tag int, dedup bool) (best int, firstTicket int64) {
+// source). It prunes consumed duplicate copies when dedup is on.
+func (q *srcQueue) selectLocked(tag int, dedup bool) int {
 	if dedup && len(q.consumed) > 0 {
 		kept := q.msgs[:0]
 		for _, m := range q.msgs {
 			if _, dup := q.consumed[m.Seq]; dup {
+				q.retire(m)
 				continue
 			}
 			kept = append(kept, m)
@@ -761,21 +788,16 @@ func (q *srcQueue) selectLocked(tag int, dedup bool) (best int, firstTicket int6
 		}
 		q.msgs = kept
 	}
-	best = -1
+	best := -1
 	for i, m := range q.msgs {
 		if tag != AnyTag && m.Tag != tag {
 			continue
 		}
-		if best == -1 {
-			best = i
-			firstTicket = m.ticket
-			continue
-		}
-		if m.Seq < q.msgs[best].Seq {
+		if best == -1 || m.Seq < q.msgs[best].Seq {
 			best = i
 		}
 	}
-	return best, firstTicket
+	return best
 }
 
 // removeLocked takes the envelope at index i out of the shard, marking
@@ -791,19 +813,112 @@ func (q *srcQueue) removeLocked(i int, dedup bool) *Message {
 		}
 		q.consumed[m.Seq] = struct{}{}
 	}
+	q.retire(m)
 	return m
+}
+
+// retire records that m left the shard (q.mu held). On an indexed
+// context it flags the entry taken and, when the index lock is free,
+// pops taken entries off the index head; TryLock because the lock
+// order is index before shard.
+func (q *srcQueue) retire(m *Message) {
+	x := q.ix.Load()
+	if x == nil {
+		return
+	}
+	x.dead.Add(1)
+	atomic.StoreUint32(&m.taken, 1)
+	if x.mu.TryLock() {
+		x.popTaken()
+		x.mu.Unlock()
+	}
+}
+
+// ixEntry is one queued envelope in a context's arrival index, with
+// the shard that holds it.
+type ixEntry struct {
+	m *Message
+	q *srcQueue
+}
+
+// arrivalIndex lists one context's queued envelopes in ticket order so
+// a wildcard match finds the earliest candidate without visiting every
+// shard. Entries whose envelope was taken linger, flagged, until they
+// reach the head or a compaction.
+type arrivalIndex struct {
+	mu   sync.Mutex
+	ents []ixEntry // ticket order from head; ents[:head] are zeroed
+	head int
+	// dead counts flagged entries still in ents; it is bumped before
+	// the flag is set, so it never undercounts.
+	dead atomic.Int64
+}
+
+// add appends (or, for a reorder-fault front put, prepends) an entry.
+// x.mu held.
+func (x *arrivalIndex) add(e ixEntry, front bool) {
+	if front {
+		if x.head > 0 {
+			x.head--
+			x.ents[x.head] = e
+		} else {
+			x.ents = slices.Insert(x.ents, 0, e)
+		}
+		return
+	}
+	n := int64(len(x.ents) - x.head)
+	if dead := x.dead.Load(); dead > 2*(n-dead)+8 {
+		x.compact()
+	} else if len(x.ents) == cap(x.ents) && 2*x.head >= len(x.ents) {
+		// Reuse the popped head space rather than growing.
+		k := copy(x.ents, x.ents[x.head:])
+		clear(x.ents[k:])
+		x.ents, x.head = x.ents[:k], 0
+	}
+	x.ents = append(x.ents, e)
+}
+
+// popTaken drops taken entries from the head. x.mu held.
+func (x *arrivalIndex) popTaken() {
+	i := x.head
+	for i < len(x.ents) && atomic.LoadUint32(&x.ents[i].m.taken) != 0 {
+		x.ents[i] = ixEntry{}
+		i++
+	}
+	if i == x.head {
+		return
+	}
+	x.dead.Add(-int64(i - x.head))
+	x.head = i
+	if x.head == len(x.ents) {
+		x.ents, x.head = x.ents[:0], 0
+	}
+}
+
+// compact drops every taken entry. x.mu held.
+func (x *arrivalIndex) compact() {
+	kept := x.ents[:0]
+	for _, e := range x.ents[x.head:] {
+		if atomic.LoadUint32(&e.m.taken) == 0 {
+			kept = append(kept, e)
+		}
+	}
+	x.dead.Add(-int64(len(x.ents) - x.head - len(kept)))
+	clear(x.ents[len(kept):])
+	x.ents, x.head = kept, 0
 }
 
 // mailbox is one endpoint's unexpected-message store, sharded per
 // (ctx, source). See the package comment for the matching design.
 type mailbox struct {
-	// qmu guards the queue registry (map + per-ctx index), NOT the
-	// queues themselves: lookups take the read side, and a queue is
-	// created at most once per (ctx, src), so steady-state delivery
-	// never writes the registry.
+	// qmu guards the queue registry (map + per-ctx lists and arrival
+	// indexes), NOT the queues themselves: lookups take the read side,
+	// and a queue is created at most once per (ctx, src), so steady-
+	// state delivery never writes the registry.
 	qmu    sync.RWMutex
 	queues map[qkey]*srcQueue
 	byCtx  map[int][]*srcQueue
+	ixs    map[int]*arrivalIndex // nil until the first wildcard
 
 	// ticket stamps normal arrivals (increasing from 1); fticket
 	// stamps reorder-fault front insertions (decreasing from -1), so
@@ -815,11 +930,13 @@ type mailbox struct {
 
 	// version counts enqueues (and kicks); blocked receives wait for
 	// it to move. Putters broadcast only when waiters is non-zero, so
-	// uncontended delivery never takes waitMu.
-	version atomic.Int64
-	waiters atomic.Int64
-	waitMu  sync.Mutex
-	cond    *sync.Cond
+	// uncontended delivery never takes waitMu. wildWaiters (guarded by
+	// waitMu) counts the parked AnySource receives among them.
+	version     atomic.Int64
+	waiters     atomic.Int64
+	waitMu      sync.Mutex
+	cond        *sync.Cond
+	wildWaiters int
 
 	// dedup turns on consumed-sequence tracking (duplicate faults).
 	dedup atomic.Bool
@@ -858,6 +975,9 @@ func (b *mailbox) queueFor(ctx, src int) *srcQueue {
 		return q
 	}
 	q = &srcQueue{}
+	if x := b.ixs[ctx]; x != nil {
+		q.ix.Store(x)
+	}
 	b.queues[k] = q
 	b.byCtx[ctx] = append(b.byCtx[ctx], q)
 	return q
@@ -872,19 +992,59 @@ func (b *mailbox) lookup(ctx, src int) *srcQueue {
 	return q
 }
 
-// ctxQueues snapshots the shard list of a context. The returned slice
-// prefix is immutable (creators append under the write lock), so the
-// caller may iterate without the registry lock.
-func (b *mailbox) ctxQueues(ctx int) []*srcQueue {
+// indexFor returns the context's arrival index, building it on first
+// use: it registers the index (so shards created later attach at
+// creation), then attaches every existing shard under its lock,
+// collecting its queued envelopes, and sorts them by ticket. The new
+// index stays locked until built, so puts and wildcards wait for it.
+func (b *mailbox) indexFor(ctx int) *arrivalIndex {
 	b.qmu.RLock()
-	qs := b.byCtx[ctx]
+	x := b.ixs[ctx]
 	b.qmu.RUnlock()
-	return qs
+	if x != nil {
+		return x
+	}
+	x = &arrivalIndex{}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	b.qmu.Lock()
+	if y := b.ixs[ctx]; y != nil {
+		b.qmu.Unlock()
+		return y
+	}
+	if b.ixs == nil {
+		b.ixs = make(map[int]*arrivalIndex)
+	}
+	b.ixs[ctx] = x
+	qs := b.byCtx[ctx]
+	b.qmu.Unlock()
+	for _, q := range qs {
+		q.mu.Lock()
+		for _, m := range q.msgs {
+			x.ents = append(x.ents, ixEntry{m, q})
+		}
+		q.ix.Store(x)
+		q.mu.Unlock()
+	}
+	slices.SortFunc(x.ents, func(a, b ixEntry) int { return cmp.Compare(a.m.ticket, b.m.ticket) })
+	return x
 }
 
 func (b *mailbox) put(m *Message, front bool) {
 	q := b.queueFor(m.Ctx, m.Src)
+	x := q.ix.Load()
+	if x != nil {
+		x.mu.Lock()
+	}
 	q.mu.Lock()
+	if x == nil && q.ix.Load() != nil {
+		// A wildcard indexed the context since the load: retake the
+		// locks in index-then-shard order.
+		q.mu.Unlock()
+		x = q.ix.Load()
+		x.mu.Lock()
+		q.mu.Lock()
+	}
 	if front {
 		m.ticket = b.fticket.Add(-1)
 		q.msgs = append(q.msgs, nil)
@@ -894,12 +1054,22 @@ func (b *mailbox) put(m *Message, front bool) {
 		m.ticket = b.ticket.Add(1)
 		q.msgs = append(q.msgs, m)
 	}
+	if x != nil {
+		x.add(ixEntry{m, q}, front)
+	}
 	q.mu.Unlock()
+	if x != nil {
+		x.mu.Unlock()
+	}
 	b.version.Add(1)
 	if b.waiters.Load() > 0 {
 		b.waitMu.Lock()
 		b.cond.Broadcast()
+		wild := b.wildWaiters > 0
 		b.waitMu.Unlock()
+		if wild {
+			runtime.Gosched()
+		}
 	}
 }
 
@@ -912,55 +1082,54 @@ func (b *mailbox) kick() {
 	b.waitMu.Unlock()
 }
 
+// firstAny returns the envelope a wildcard receive on (ctx, tag)
+// matches — removed when take is set — or nil. It walks the arrival
+// index from its head to the first live tag-matching entry; that
+// entry's shard holds the winner (its lowest Seq among tag matches).
+// A flagged or just-pruned entry is skipped. Holding the index lock
+// keeps puts out, so the walk sees every queued envelope in order.
+func (b *mailbox) firstAny(ctx, tag int, take bool) *Message {
+	dedup := b.dedup.Load()
+	x := b.indexFor(ctx)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.popTaken()
+	for _, e := range x.ents[x.head:] {
+		if tag != AnyTag && e.m.Tag != tag || atomic.LoadUint32(&e.m.taken) != 0 {
+			continue
+		}
+		q := e.q
+		q.mu.Lock()
+		i := q.selectLocked(tag, dedup)
+		if atomic.LoadUint32(&e.m.taken) != 0 {
+			// A consumed duplicate the selection just pruned, or an
+			// envelope a specific receive took after the check above.
+			q.mu.Unlock()
+			continue
+		}
+		var m *Message
+		if take {
+			m = q.removeLocked(i, dedup)
+		} else {
+			m = q.msgs[i]
+		}
+		q.mu.Unlock()
+		x.popTaken()
+		return m
+	}
+	return nil
+}
+
 // tryTakeFrom attempts a removal from one shard.
 func (b *mailbox) tryTakeFrom(q *srcQueue, tag int) *Message {
 	dedup := b.dedup.Load()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	i, _ := q.selectLocked(tag, dedup)
+	i := q.selectLocked(tag, dedup)
 	if i < 0 {
 		return nil
 	}
 	return q.removeLocked(i, dedup)
-}
-
-// tryTakeAny is the wildcard slow path: phase one scans every shard of
-// the context and records the ticket of its earliest tag match; phase
-// two locks the queue with the lowest such ticket and re-selects,
-// restarting if a concurrent taker emptied it. With a single taker
-// (the differential-test regime) nothing moves between phases and the
-// result equals the legacy whole-mailbox scan exactly; with racing
-// wildcard takers the linearisation is whichever scan wins, which MPI
-// leaves unspecified anyway.
-func (b *mailbox) tryTakeAny(ctx, tag int) *Message {
-	dedup := b.dedup.Load()
-	for {
-		var win *srcQueue
-		var winTicket int64
-		for _, q := range b.ctxQueues(ctx) {
-			q.mu.Lock()
-			i, ft := q.selectLocked(tag, dedup)
-			q.mu.Unlock()
-			if i < 0 {
-				continue
-			}
-			if win == nil || ft < winTicket {
-				win, winTicket = q, ft
-			}
-		}
-		if win == nil {
-			return nil
-		}
-		win.mu.Lock()
-		i, _ := win.selectLocked(tag, dedup)
-		if i >= 0 {
-			m := win.removeLocked(i, dedup)
-			win.mu.Unlock()
-			return m
-		}
-		win.mu.Unlock()
-		// The winner was drained between the phases; rescan.
-	}
 }
 
 // tryTake removes the matching envelope, or returns nil.
@@ -977,7 +1146,7 @@ func (b *mailbox) tryTake(ctx, src, tag int) *Message {
 		}
 		return m
 	}
-	m := b.tryTakeAny(ctx, tag)
+	m := b.firstAny(ctx, tag, true)
 	if m != nil {
 		b.wildTakes.Add(1)
 		b.takes.Add(1)
@@ -985,42 +1154,37 @@ func (b *mailbox) tryTake(ctx, src, tag int) *Message {
 	return m
 }
 
-// peekLocked-free peek: returns the envelope take would deliver,
-// without removing it.
+// peek returns the envelope take would deliver, without removing it.
 func (b *mailbox) peek(ctx, src, tag int) *Message {
-	dedup := b.dedup.Load()
-	if src != AnySource {
-		q := b.lookup(ctx, src)
-		if q == nil {
-			return nil
-		}
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		i, _ := q.selectLocked(tag, dedup)
-		if i < 0 {
-			return nil
-		}
-		return q.msgs[i]
+	if src == AnySource {
+		return b.firstAny(ctx, tag, false)
 	}
-	var best *Message
-	var bestTicket int64
-	for _, q := range b.ctxQueues(ctx) {
-		q.mu.Lock()
-		i, ft := q.selectLocked(tag, dedup)
-		if i >= 0 && (best == nil || ft < bestTicket) {
-			best, bestTicket = q.msgs[i], ft
-		}
-		q.mu.Unlock()
+	q := b.lookup(ctx, src)
+	if q == nil {
+		return nil
 	}
-	return best
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	i := q.selectLocked(tag, b.dedup.Load())
+	if i < 0 {
+		return nil
+	}
+	return q.msgs[i]
 }
 
 // block waits until the mailbox version moves past v (or a kick).
-func (b *mailbox) block(v int64) {
+// wild marks an AnySource receive, which puts hand their processor.
+func (b *mailbox) block(v int64, wild bool) {
 	b.waitMu.Lock()
 	b.waiters.Add(1)
+	if wild {
+		b.wildWaiters++
+	}
 	for b.version.Load() == v {
 		b.cond.Wait()
+	}
+	if wild {
+		b.wildWaiters--
 	}
 	b.waiters.Add(-1)
 	b.waitMu.Unlock()
@@ -1052,7 +1216,7 @@ func (b *mailbox) take(ctx, src, tag int, f *Fabric, cancel <-chan struct{}) (*M
 		if m := b.tryTake(ctx, src, tag); m != nil {
 			return m, nil
 		}
-		b.block(v)
+		b.block(v, src == AnySource)
 	}
 }
 
@@ -1065,6 +1229,6 @@ func (b *mailbox) wait(ctx, src, tag int, f *Fabric, cancel <-chan struct{}) (*M
 		if m := b.peek(ctx, src, tag); m != nil {
 			return m, nil
 		}
-		b.block(v)
+		b.block(v, src == AnySource)
 	}
 }
